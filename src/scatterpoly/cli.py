@@ -5,7 +5,8 @@ Every command writes its primary result to a file (CSV or JSON) and a
 one-line summary to stdout.  Output is deterministic byte for byte:
 floats are always rendered through the same 17-significant-digit format,
 orderings are fixed, and no timestamps or environment state leak in.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification or internal failure, 2 usage
+error.  No output file ever holds a nan or an infinity.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -20,9 +22,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .jacobi import ConvergenceError
 from .poly_algebra import NotDivisibleError
 from .scattering import (
     PQIndex,
+    SignValidationError,
     basis_indices,
     eigencheck,
     jacobi_form,
@@ -52,9 +56,19 @@ class CLIError(Exception):
     """Bad invocation or bad input data; maps to exit code 2."""
 
 
+class NonFiniteOutputError(ArithmeticError):
+    """A result to be printed or written is nan or infinite; exit code 1."""
+
+
 def format_float(x: float) -> str:
-    """Fixed 17-significant-digit rendering; -0.0 collapses to 0."""
+    """Fixed 17-significant-digit rendering; -0.0 collapses to 0.
+
+    Refuses nan and infinities with :class:`NonFiniteOutputError`, so
+    neither can reach an output file.
+    """
     x = float(x)
+    if not math.isfinite(x):
+        raise NonFiniteOutputError(f"refusing to output non-finite value {x}")
     if x == 0.0:
         x = 0.0
     return "%.17g" % x
@@ -138,9 +152,13 @@ def _load_grid_csv(path: str) -> GridSample:
         if len(row) != 4:
             raise CLIError(f"{path}: line {line_no}: expected 4 fields, got {len(row)}")
         try:
-            r, theta, re_part, im_part = (float(cell) for cell in row)
+            fields = [float(cell) for cell in row]
         except ValueError as exc:
             raise CLIError(f"{path}: line {line_no}: {exc}") from exc
+        for name, value in zip(("r", "theta", "re", "im"), fields):
+            if not math.isfinite(value):
+                raise CLIError(f"{path}: line {line_no}: {name} is not finite ({value})")
+        r, theta, re_part, im_part = fields
         table[(r, theta)] = complex(re_part, im_part)
     if not table:
         raise CLIError(f"{path}: no data rows")
@@ -555,6 +573,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (SignValidationError, ConvergenceError, ArithmeticError) as exc:
+        print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

@@ -13,9 +13,12 @@ produced here by three independent routes that must agree:
 
 Two sign conventions circulate for the factored route's prefactor:
 (-1)^(q + max{p,q}) and (-1)^(q+1).  They disagree whenever max{p,q} is
-even, so jacobi_form does not trust either: it tries both signs against
-the exact Rodrigues polynomial at construction time and keeps the one
-that matches (docs/math_notes.md derives why (-1)^(q+1) always wins).
+even.  docs/math_notes.md section 2.1 derives coeff = (-1)^(q+1) *
+max{p,q} / q, and jacobi_form takes the prefactor from that closed form.
+It still checks every form at construction time, against the binomial
+sum evaluated exactly in Python integers (:func:`radial_sum_values`), so
+the float routes never build a Rodrigues polynomial.  The comparison with
+the Rodrigues route itself lives in the ``verify`` command and the tests.
 
 The polynomials vanish on the unit circle, carry the pure angular mode
 e^(i(q-p) theta), and satisfy (1 - z*zbar) d2/dz dzbar phi = -pq phi,
@@ -30,7 +33,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -44,7 +47,7 @@ _RADIUS_DEN = 1024
 
 
 class SignValidationError(RuntimeError):
-    """Neither candidate sign matches the Rodrigues polynomial."""
+    """The closed-form factored route disagrees with the exact binomial sum."""
 
 
 @dataclass(frozen=True, order=True)
@@ -84,9 +87,10 @@ class RadialForm:
     """Factored representation coeff * (1-r^2) * r^m * P_nu^(1,m)(2r^2-1).
 
     The full polynomial is the radial part times e^(i * angular_frequency
-    * theta).  Instances returned by :func:`jacobi_form` have already been
-    checked against the exact polynomial, so evaluation through here is
-    trustworthy at double precision.
+    * theta).  Instances returned by :func:`jacobi_form` carry the
+    closed-form prefactor and have already been checked against the exact
+    binomial sum, so evaluation through here is trustworthy at double
+    precision.
     """
 
     coeff: float
@@ -153,13 +157,25 @@ def radial_sum(idx: PQIndex) -> BivariatePoly:
     differentiation route beyond the polynomial ring itself.
     """
     p, q = idx.p, idx.q
-    deg = p + q - 1
-    terms = {}
-    for k in range(max(p, q), deg + 1):
-        num = (-1) ** (p + k) * math.comb(deg, k) * math.factorial(k) ** 2
-        den = q * math.factorial(deg) * math.factorial(k - p) * math.factorial(k - q)
-        terms[(k - p, k - q)] = Fraction(num, den)
+    den = q * math.factorial(p + q - 1)
+    terms = {
+        (k - p, k - q): Fraction(num, den) for k, num in _sum_numerators(idx).items()
+    }
     return BOUNDARY_FACTOR * BivariatePoly(terms)
+
+
+def _sum_numerators(idx: PQIndex) -> dict[int, int]:
+    """Term k of the binomial sum as an integer over q (p+q-1)!.
+
+    The numerator is (-1)^(p+k) C(p+q-1, k) (k!/(k-p)!) (k!/(k-q)!), for
+    k = max{p,q} .. p+q-1.
+    """
+    p, q = idx.p, idx.q
+    deg = p + q - 1
+    return {
+        k: (-1) ** (p + k) * math.comb(deg, k) * math.perm(k, p) * math.perm(k, q)
+        for k in range(max(p, q), deg + 1)
+    }
 
 
 def radial_profile(poly: BivariatePoly) -> tuple[int, dict[int, Fraction]]:
@@ -188,45 +204,73 @@ def profile_value(profile: dict[int, Fraction], r: Fraction) -> Fraction:
     return sum((c * r**k for k, c in sorted(profile.items())), Fraction(0))
 
 
+def radial_sum_values(idx: PQIndex, radii: Sequence[int]) -> tuple[list[int], int]:
+    """Exact radial values of phi^(p,q) at the dyadic radii r = a/1024.
+
+    Evaluates the binomial sum of :func:`radial_sum` in Python integers,
+    with no polynomial ring.  Returns one integer numerator per radius and
+    their common denominator q (p+q-1)! 1024^(p+q), so each value converts
+    to the nearest double by a single int / int division.
+    """
+    p, q = idx.p, idx.q
+    deg = p + q - 1
+    den_sq = _RADIUS_DEN * _RADIUS_DEN
+    # term k carries r^(2k-p-q); weight it up to the common power of 1024
+    weights = [num * den_sq ** (deg - k) for k, num in _sum_numerators(idx).items()]
+    numerators = []
+    for a in radii:
+        a_sq = a * a
+        kernel = 0
+        for weight in reversed(weights):
+            kernel = kernel * a_sq + weight
+        numerators.append((den_sq - a_sq) * a**idx.m * kernel)
+    return numerators, q * math.factorial(deg) * _RADIUS_DEN ** (p + q)
+
+
 @lru_cache(maxsize=None)
 def jacobi_form(idx: PQIndex) -> RadialForm:
-    """Factored form of phi^(p,q) with the sign fixed by validation.
+    """Factored form of phi^(p,q), prefactor (-1)^(q+1) * max{p,q}/q.
 
-    Both candidate prefactors +-max{p,q}/q are compared with the exact
-    Rodrigues polynomial (via its rational radial profile) at 20 random
-    dyadic radii; the matching sign is kept.  A mismatch of both signs
-    raises :class:`SignValidationError`, which would mean a genuine bug
-    rather than a convention issue.
+    The prefactor is the closed form of docs/math_notes.md section 2.1.
+    Each form is checked against the exact binomial sum at 20 seeded
+    dyadic radii before it is returned; a deviation beyond 1e-12 of the
+    profile's scale raises :class:`SignValidationError`, which would mean
+    a genuine bug rather than a convention issue.
     """
-    freq, profile = radial_profile(rodrigues(idx))
+    sign = (-1) ** (idx.q + 1)
     magnitude = max(idx.p, idx.q) / idx.q
+    form = RadialForm(
+        coeff=sign * magnitude,
+        m=idx.m,
+        nu=idx.nu,
+        angular_frequency=idx.angular_frequency,
+    )
     rng = random.Random(100003 * idx.p + idx.q)
     radii = sorted(rng.sample(range(1, _RADIUS_DEN), 20))
-    exact = [float(profile_value(profile, Fraction(k, _RADIUS_DEN))) for k in radii]
-    scale = max(1.0, max(abs(v) for v in exact))
-    for sign in (+1, -1):
-        form = RadialForm(
-            coeff=sign * magnitude, m=idx.m, nu=idx.nu, angular_frequency=freq
+    numerators, den = radial_sum_values(idx, radii)
+    exact = np.array([num / den for num in numerators])
+    scale = max(1.0, float(np.max(np.abs(exact))))
+    approx = form.radial_value(np.array(radii) / _RADIUS_DEN)
+    if np.max(np.abs(approx - exact)) > 1e-12 * scale:
+        raise SignValidationError(
+            f"closed-form factored route disagrees with the exact polynomial for {idx}"
         )
-        err = max(
-            abs(form.radial_value(k / _RADIUS_DEN) - v) for k, v in zip(radii, exact)
-        )
-        if err <= 1e-12 * scale:
-            return form
-    raise SignValidationError(f"no sign matches the exact polynomial for {idx}")
+    return form
 
 
 def resolved_sign(idx: PQIndex) -> int:
-    """The validated sign of the jacobi_form prefactor: +1 or -1."""
+    """The checked sign of the jacobi_form prefactor: +1 or -1."""
     return 1 if jacobi_form(idx).coeff > 0 else -1
 
 
 def sign_resolution(idx: PQIndex) -> dict:
-    """Record how the validated sign relates to the exponent rule.
+    """Record how the checked sign relates to the printed exponent rule.
 
-    ``rule_sign`` is what the closed-form exponent (-1)^(q + max{p,q})
-    would give; ``agrees`` is False exactly when validation overrode it
-    (empirically: whenever max{p,q} is even).
+    ``resolved_sign`` is the sign of the jacobi_form prefactor, the closed
+    form (-1)^(q+1) checked against the exact binomial sum; ``rule_sign``
+    is what the printed exponent (-1)^(q + max{p,q}) would give.
+    ``agrees`` is False exactly when the two differ, which happens
+    whenever max{p,q} is even (docs/math_notes.md section 2.2).
     """
     resolved = resolved_sign(idx)
     rule = (-1) ** (idx.q + max(idx.p, idx.q))

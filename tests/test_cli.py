@@ -3,10 +3,13 @@
 import csv
 import json
 import math
+import os
 
+import numpy as np
 import pytest
 
-from scatterpoly.cli import format_float, main, render_json
+from scatterpoly import jacobi, quadrature, scattering
+from scatterpoly.cli import NonFiniteOutputError, format_float, main, render_json
 from scatterpoly.scattering import PQIndex, rodrigues
 
 
@@ -51,6 +54,11 @@ class TestFormatting:
     def test_render_json_rejects_unknown(self):
         with pytest.raises(TypeError):
             render_json({"a": object()})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_render_json_rejects_non_finite(self, value):
+        with pytest.raises(NonFiniteOutputError):
+            render_json({"x": value})
 
 
 class TestEval:
@@ -328,6 +336,19 @@ class TestGridFileErrors:
         assert main(["expand", "nope.csv"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row,field",
+        [("0.1,3,nan,0", "re"), ("0.1,3,0,inf", "im"), ("0.1,-inf,0,0", "theta"),
+         ("NaN,3,0,0", "r")],
+    )
+    def test_non_finite_cell(self, row, field, capsys):
+        with open("bad.csv", "w") as fh:
+            fh.write(f"r,theta,re,im\n0,3,1,0\n{row}\n")
+        assert main(["expand", "bad.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "bad.csv: line 3" in err and f"{field} is not finite" in err
+        assert os.listdir() == ["bad.csv"]
+
 
 class TestParser:
     def test_no_arguments(self, capsys):
@@ -339,3 +360,46 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "eval" in capsys.readouterr().out
+
+
+class TestInternalFailures:
+    """Internal failures exit 1 with one stderr line, never a traceback."""
+
+    def assert_one_line_failure(self, capsys, argv, name):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: internal failure: ")
+        assert name in lines[0]
+
+    def test_sign_validation_error(self, capsys, monkeypatch):
+        def negated(idx, radii):
+            numerators, common = reference(idx, radii)
+            return [-n for n in numerators], common
+
+        reference = scattering.radial_sum_values
+        monkeypatch.setattr(scattering, "radial_sum_values", negated)
+        scattering.jacobi_form.cache_clear()
+        self.assert_one_line_failure(capsys, ["eval", "3", "2"], "SignValidationError")
+        assert not os.path.exists("phi_3_2_grid.csv")
+
+    def test_convergence_error(self, capsys, monkeypatch):
+        # a Newton update that never shrinks: the root finder must give up
+        monkeypatch.setattr(
+            jacobi, "_legendre_pair", lambda n, x: (np.ones_like(x), np.zeros_like(x))
+        )
+        jacobi.gauss_legendre.cache_clear()
+        self.assert_one_line_failure(capsys, ["moments", "0", "0"], "ConvergenceError")
+
+    def test_angular_moment_cross_check(self, capsys, monkeypatch):
+        # a wrong closed form makes the trapezoid cross-check disagree
+        monkeypatch.setattr(quadrature, "_double_factorial", lambda k: 1)
+        self.assert_one_line_failure(capsys, ["moments", "1", "0"], "ArithmeticError")
+        assert not os.path.exists("moments_1_0.csv")
+
+    def test_non_finite_result_writes_no_file(self, capsys, monkeypatch):
+        monkeypatch.setattr("scatterpoly.cli.expansion_residual", lambda f, table: math.nan)
+        self.assert_one_line_failure(
+            capsys, ["expand", "builtin:phi_1_1", "--trunc", "4"], "NonFiniteOutputError"
+        )
+        assert not os.path.exists("expansion.json")

@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+from scatterpoly import cli, scattering
 from scatterpoly.poly_algebra import BOUNDARY_FACTOR, BivariatePoly, Z, ZBAR
-from scatterpoly.quadrature import inner_product_poly_exact
+from scatterpoly.quadrature import gram, inner_product_poly_exact
 from scatterpoly.scattering import (
     PQIndex,
     RadialForm,
+    SignValidationError,
     apply_modified_laplacian,
     basis_indices,
     eigencheck,
@@ -21,10 +23,12 @@ from scatterpoly.scattering import (
     profile_value,
     radial_profile,
     radial_sum,
+    radial_sum_values,
     resolved_sign,
     rodrigues,
     sign_resolution,
 )
+from scatterpoly.transform import expand, reconstruct, solve_weighted_poisson
 
 from helpers import exact_norm_fraction, random_point
 
@@ -145,12 +149,68 @@ class TestJacobiForm:
         for idx in basis_indices(10):
             assert sign_resolution(idx)["agrees"] == (max(idx.p, idx.q) % 2 == 1)
 
+    def test_check_reference_is_the_rodrigues_profile(self):
+        # the integer binomial sum behind the construction-time check equals
+        # the normative Rodrigues polynomial exactly, at dyadic radii from
+        # 1/1024 to 1023/1024
+        radii = range(1, 1024, 7)
+        for idx in basis_indices(12):
+            numerators, den = radial_sum_values(idx, radii)
+            _, profile = radial_profile(rodrigues(idx))
+            for k, num in zip(radii, numerators):
+                assert Fraction(num, den) == profile_value(profile, Fraction(k, 1024))
+
+    def test_check_rejects_a_wrong_reference(self, monkeypatch):
+        def negated(idx, radii):
+            numerators, common = reference(idx, radii)
+            return [-n for n in numerators], common
+
+        reference = scattering.radial_sum_values
+        monkeypatch.setattr(scattering, "radial_sum_values", negated)
+        jacobi_form.cache_clear()
+        for pq in ((1, 1), (2, 2), (4, 3)):
+            with pytest.raises(SignValidationError):
+                jacobi_form(PQIndex(*pq))
+
     def test_radial_kernel_cancels_boundary_factor(self):
         form = jacobi_form(PQIndex(3, 2))
         for r in (0.1, 0.5, 0.9):
             assert form.radial_value(r) == pytest.approx(
                 (1 - r * r) * form.radial_kernel(r), rel=1e-15
             )
+
+
+class TestFloatPathIsExactFree:
+    def test_no_exact_polynomial_is_built(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("float path built an exact polynomial")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(BivariatePoly, "__post_init__", refuse)
+        rodrigues.cache_clear()
+        radial_sum.cache_clear()
+        jacobi_form.cache_clear()
+
+        def f(r, theta):
+            return complex((1.0 - r * r) ** 2)
+
+        table = expand(f, 10)
+        solve_weighted_poisson(f, 10)
+        reconstruct(table, [0.0, 0.5, 0.9], [0.0, 1.0, 2.0])
+        gram(basis_indices(10))
+        assert cli.main(["eval", "4", "3", "--grid", "4x4"]) == 0
+        assert rodrigues.cache_info().misses == 0
+        assert radial_sum.cache_info().misses == 0
+        assert jacobi_form.cache_info().misses > 0
+
+
+class TestReflection:
+    def test_swapped_index_is_scaled_conjugate(self):
+        # phi^(q,p) = (-1)^(p+q) (q/p) conj(phi^(p,q)), docs/math_notes.md 3.2
+        for idx in basis_indices(12):
+            p, q = idx.p, idx.q
+            factor = Fraction((-1) ** (p + q) * q, p)
+            assert rodrigues(PQIndex(q, p)) == rodrigues(idx).conjugate() * factor
 
 
 class TestModifiedLaplacian:
