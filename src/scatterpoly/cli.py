@@ -190,14 +190,15 @@ def _resolve_input(spec: str) -> tuple[Callable[[float, float], complex], str]:
 
     'builtin:phi_P_Q', 'builtin:radial_bump', and 'builtin:one' need no
     external data; anything else is a path to an r,theta,re,im CSV grid,
-    resampled by bilinear interpolation.
+    resampled by bilinear interpolation.  Every one takes floats or
+    broadcasting arrays, so it is sampled in one call per grid.
     """
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]
         if name == "one":
-            return (lambda r, theta: 1.0 + 0.0j), spec
+            return (lambda r, theta: np.ones(np.broadcast(r, theta).shape, dtype=complex)), spec
         if name == "radial_bump":
-            return (lambda r, theta: complex((1.0 - r * r) ** 2)), spec
+            return (lambda r, theta: (1.0 - r * r) * (1.0 - r * r) + 0j), spec
         match = _BUILTIN_PATTERN.fullmatch(name)
         if match:
             idx = _parse_index(int(match.group(1)), int(match.group(2)))
@@ -308,7 +309,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     off_diag = matrix.max_off_diagonal()
     diag_err = float(
         max(
-            abs(matrix.entries[i, i].real - norm_sq(idx)) / norm_sq(idx)
+            abs(matrix.entries[i, i] - norm_sq(idx)) / norm_sq(idx)
             for i, idx in enumerate(matrix.indices)
         )
     )
@@ -360,18 +361,12 @@ def cmd_gram(args: argparse.Namespace) -> int:
     if args.format == "csv":
         rows = [["index"] + labels]
         for i, label in enumerate(labels):
-            # entries are real: the angular integral kills imaginary parts
-            rows.append(
-                [label] + [format_float(matrix.entries[i, j].real) for j in range(len(labels))]
-            )
+            rows.append([label] + [format_float(x) for x in matrix.entries[i]])
         _write_csv(out, rows)
     else:
         payload = {
             "indices": [[idx.p, idx.q] for idx in indices],
-            "entries": [
-                [float(matrix.entries[i, j].real) for j in range(len(labels))]
-                for i in range(len(labels))
-            ],
+            "entries": matrix.entries.tolist(),
         }
         _write_text(out, render_json(payload) + "\n")
     print(

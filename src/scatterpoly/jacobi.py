@@ -45,28 +45,43 @@ class JacobiParams:
             raise ValueError("degree must be nonnegative")
 
 
-def jacobi_eval(params: JacobiParams, x: ArrayLike) -> ArrayLike:
-    """Evaluate P_nu^(alpha,beta) at x by the degree recurrence.
+def jacobi_table(m: int, max_degree: int, x: ArrayLike) -> np.ndarray:
+    """Every P_nu^(1,m)(x) for nu = 0 .. max_degree, in one recurrence pass.
 
-    Accepts a scalar or an ndarray; the recurrence is run vectorized.
-    Seeds are P_0 = 1 and P_1 = (alpha+1) + (alpha+beta+2)(x-1)/2.
+    Returns an array of shape x.shape + (max_degree + 1,) whose last axis
+    is the degree.  Seeds are P_0 = 1 and P_1 = (alpha+1) +
+    (alpha+beta+2)(x-1)/2 with alpha = 1, beta = m; the angular modes of
+    the disk basis each need one such table.
     """
-    a, b, n = params.alpha, params.beta, params.degree
+    if m < 0 or max_degree < 0:
+        raise ValueError("m and max_degree must be nonnegative")
+    a, b = 1, m
     xv = np.asarray(x, dtype=float)
-    scalar = xv.ndim == 0
-    xv = np.atleast_1d(xv)
+    out = np.empty(xv.shape + (max_degree + 1,))
     prev = np.ones_like(xv)
-    if n == 0:
-        return float(prev[0]) if scalar else prev
+    out[..., 0] = prev
+    if max_degree == 0:
+        return out
     curr = (a + 1) + (a + b + 2) * (xv - 1.0) / 2.0
-    for k in range(2, n + 1):
+    out[..., 1] = curr
+    for k in range(2, max_degree + 1):
         s = 2 * k + a + b
         c_norm = 2 * k * (k + a + b) * (s - 2)
         c_x = (s - 1) * s * (s - 2)
         c_const = (s - 1) * (a * a - b * b)
         c_prev = 2 * (k + a - 1) * (k + b - 1) * s
         prev, curr = curr, ((c_const + c_x * xv) * curr - c_prev * prev) / c_norm
-    return float(curr[0]) if scalar else curr
+        out[..., k] = curr
+    return out
+
+
+def jacobi_eval(params: JacobiParams, x: ArrayLike) -> ArrayLike:
+    """Evaluate P_nu^(alpha,beta) at x: the last column of :func:`jacobi_table`.
+
+    Accepts a scalar or an ndarray; the recurrence is run vectorized.
+    """
+    value = jacobi_table(params.beta, params.degree, x)[..., -1]
+    return float(value) if np.ndim(x) == 0 else value
 
 
 def jacobi_norm_sq(params: JacobiParams) -> float:

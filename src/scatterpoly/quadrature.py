@@ -24,7 +24,11 @@ import numpy as np
 
 from .jacobi import gauss_legendre, jacobi_eval
 from .poly_algebra import BivariatePoly, ComplexRational
-from .scattering import PQIndex, jacobi_form
+from .scattering import PQIndex, jacobi_form, mode_kernels
+
+#: f(r, theta) on the disk, on floats or on arrays that broadcast together
+#: (a float-only f costs one call per node, see :func:`sample_polar`).
+DiskFunction = Callable[[float, float], complex]
 
 #: Default cutoff ladder for moment divergence runs: eps = 1e-2 .. 1e-7.
 DEFAULT_EPS_LADDER = tuple(10.0**-k for k in range(2, 8))
@@ -36,7 +40,8 @@ _MOMENT_RADIAL_ORDER = 64
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Pairwise inner products of basis members, in index order."""
+    """Pairwise inner products of basis members, in index order, as real
+    float64 entries: the angular integral kills imaginary parts."""
 
     indices: tuple[PQIndex, ...]
     entries: np.ndarray
@@ -87,54 +92,72 @@ def inner_product_basis(a: PQIndex, b: PQIndex, order: Optional[int] = None) -> 
 
 
 def gram(indices: Sequence[PQIndex]) -> GramMatrix:
-    """Hermitian matrix of pairwise inner products.
+    """Real symmetric matrix of pairwise inner products, one block per mode.
 
-    Only the upper triangle is computed; the rest is mirrored, so the
-    result is Hermitian by construction.
+    Block (pi/2) K^T diag(w (1-u)/2) K, with K the :func:`mode_kernels` at
+    the nodes of a Gauss-Legendre rule of order max(p+q) + 2, is exact
+    (docs/math_notes.md section 7); its upper triangle is mirrored, so the
+    result is symmetric by construction.  Distinct modes are orthogonal.
     """
     if not indices:
         raise ValueError("index sequence must be nonempty")
     idx = tuple(indices)
-    size = len(idx)
-    entries = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        for j in range(i, size):
-            value = inner_product_basis(idx[i], idx[j])
-            entries[i, j] = value
-            if i != j:
-                entries[j, i] = value.conjugate()
+    rule = gauss_legendre(max(i.p + i.q for i in idx) + 2)
+    u = rule.nodes
+    weight = (math.pi / 2.0) * rule.weights * (1.0 - u) / 2.0
+    entries = np.zeros((len(idx), len(idx)))
+    for _, positions, kernel in mode_kernels(idx, np.sqrt((1.0 + u) / 2.0)):
+        block = (kernel.T * weight) @ kernel
+        entries[np.ix_(positions, positions)] = np.triu(block) + np.triu(block, 1).T
     entries.flags.writeable = False
     return GramMatrix(indices=idx, entries=entries)
 
 
-def inner_product_function(
-    f: Callable[[float, float], complex],
-    idx: PQIndex,
-    radial_order: int,
-    angular_points: int,
-) -> complex:
-    """<f, phi^(idx)> for a black-box f(r, theta).
+def sample_polar(f: DiskFunction, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """f on the tensor grid r x theta, as a complex (r.size, theta.size) array.
 
-    Angular direction: trapezoid rule on a uniform theta grid, which for
-    periodic smooth integrands converges spectrally and is exact for the
-    pure mode e^(-i n theta) once angular_points exceeds |n|.  Radial
-    direction: Gauss-Legendre in u = 2 r^2 - 1 against the polynomial
-    kernel phi / (1 - r^2), the weight having cancelled.
+    f is called once, with the arrays r[:, None] and theta[None, :].  If
+    that call raises, or its result does not broadcast to the grid, f is
+    taken to accept only floats and is called once per node instead.
+    """
+    try:
+        values = np.asarray(f(r[:, None], theta[None, :]), dtype=complex)
+        return np.broadcast_to(values, (r.size, theta.size))
+    except Exception:
+        # float-only f fail on arrays in many ways; a real fault raises again below
+        return np.array([[f(ri, tj) for tj in theta] for ri in r], dtype=complex)
+
+
+def inner_products(
+    f: DiskFunction, indices: Sequence[PQIndex], radial_order: int, angular_points: int
+) -> np.ndarray:
+    """<f, phi^(idx)> for every idx in indices, in order, from one sampling of f.
+
+    Angular direction: an FFT over a uniform theta grid; bin n mod
+    angular_points is the trapezoid sum of f e^(-i n theta), spectrally
+    convergent and exact for the pure mode once angular_points > |n|.
+    Radial direction: Gauss-Legendre in u = 2 r^2 - 1, one product
+    K^T (w/4 f_n) per mode against the polynomial kernels phi / (1 - r^2)
+    of :func:`mode_kernels`, the weight having cancelled.
     """
     if radial_order < 1 or angular_points < 1:
         raise ValueError("quadrature orders must be >= 1")
-    form = jacobi_form(idx)
     rule = gauss_legendre(radial_order)
-    u = rule.nodes
-    r = np.sqrt((1.0 + u) / 2.0)
-    kernel = form.radial_kernel(r)
+    r = np.sqrt((1.0 + rule.nodes) / 2.0)
     theta = 2.0 * math.pi * np.arange(angular_points) / angular_points
-    samples = np.array(
-        [[f(ri, tj) for tj in theta] for ri in r], dtype=complex
-    )
-    phase = np.exp(-1j * form.angular_frequency * theta)
-    angular = samples @ phase * (2.0 * math.pi / angular_points)
-    return complex((rule.weights / 4.0 * kernel) @ angular)
+    fhat = np.fft.fft(sample_polar(f, r, theta), axis=1)
+    weighted = fhat * (rule.weights / 4.0 * (2.0 * math.pi / angular_points))[:, None]
+    out = np.empty(len(indices), dtype=complex)
+    for n, positions, kernel in mode_kernels(indices, r):
+        out[positions] = kernel.T @ weighted[:, n % angular_points]
+    return out
+
+
+def inner_product_function(
+    f: DiskFunction, idx: PQIndex, radial_order: int, angular_points: int
+) -> complex:
+    """<f, phi^(idx)> for a black-box f(r, theta); see :func:`inner_products`."""
+    return complex(inner_products(f, [idx], radial_order, angular_points)[0])
 
 
 def inner_product_poly_exact(

@@ -37,7 +37,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .jacobi import JacobiParams, jacobi_eval
+from .jacobi import JacobiParams, jacobi_eval, jacobi_table
 from .poly_algebra import BOUNDARY_FACTOR, BivariatePoly
 
 ArrayLike = Union[float, np.ndarray]
@@ -256,6 +256,34 @@ def jacobi_form(idx: PQIndex) -> RadialForm:
             f"closed-form factored route disagrees with the exact polynomial for {idx}"
         )
     return form
+
+
+def mode_kernels(
+    indices: Sequence[PQIndex], r: np.ndarray
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Radial kernels of many basis members, one Jacobi table per angular mode.
+
+    Groups the positions of ``indices`` by angular frequency n = q - p and
+    returns (n, positions, kernel) per mode in increasing n, where column j
+    of kernel is ``jacobi_form(indices[positions[j]]).radial_kernel(r)``:
+    every member of a mode shares m = |n| and so one P^(1,m) recurrence.
+    The prefactors come from :func:`jacobi_form`, so every member passes
+    its construction-time check.
+    """
+    r = np.asarray(r, dtype=float)
+    modes: dict[int, list[int]] = defaultdict(list)
+    for position, idx in enumerate(indices):
+        modes[idx.angular_frequency].append(position)
+    x = 2.0 * r * r - 1.0
+    out = []
+    for n in sorted(modes):
+        positions = modes[n]
+        forms = [jacobi_form(indices[k]) for k in positions]
+        table = jacobi_table(abs(n), max(form.nu for form in forms), x)
+        coeff = np.array([form.coeff for form in forms])
+        kernel = coeff * r[:, None] ** abs(n) * table[:, [form.nu for form in forms]]
+        out.append((n, np.array(positions), kernel))
+    return out
 
 
 def resolved_sign(idx: PQIndex) -> int:

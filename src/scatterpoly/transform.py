@@ -8,28 +8,25 @@ is coefficientwise division.  Truncated syntheses vanish identically on
 the unit circle, so the solve respects zero Dirichlet data by
 construction rather than by enforcement.
 
-Projection samples the target once on a shared (radial Gauss-Legendre) x
-(uniform theta) grid and separates angular modes with an FFT; this is
-numerically identical to projecting mode by mode with
-:func:`scatterpoly.quadrature.inner_product_function` on the same grid,
-just without resampling f for every index.
+Both directions take one pass per angular mode n = q - p, whose members
+share one kernel matrix K_n (:func:`scatterpoly.scattering.mode_kernels`):
+projection samples f once, splits modes by FFT and applies K_n^T; synthesis
+stacks the sums (1 - r^2) K_n c_n as columns of A, values = A @ e^(i n theta).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .jacobi import gauss_legendre
 from .poly_algebra import BivariatePoly, ComplexRational
-from .scattering import PQIndex, basis_indices, jacobi_form, norm_sq, radial_sum
-
-DiskFunction = Callable[[float, float], complex]
+from .quadrature import DiskFunction, inner_products, sample_polar
+from .scattering import PQIndex, basis_indices, jacobi_form, mode_kernels, norm_sq, radial_sum
 
 
 @dataclass(frozen=True)
@@ -96,18 +93,6 @@ def basis_function(idx: PQIndex) -> DiskFunction:
     return form.value
 
 
-def _sample_grid(
-    f: DiskFunction, truncation: int, radial_order: Optional[int], angular_points: Optional[int]
-):
-    order = radial_order if radial_order is not None else truncation + 8
-    points = angular_points if angular_points is not None else 4 * truncation + 16
-    rule = gauss_legendre(order)
-    r = np.sqrt((1.0 + rule.nodes) / 2.0)
-    theta = 2.0 * math.pi * np.arange(points) / points
-    samples = np.array([[f(ri, tj) for tj in theta] for ri in r], dtype=complex)
-    return rule, r, theta, samples
-
-
 def expand(
     f: DiskFunction,
     truncation: int,
@@ -123,35 +108,35 @@ def expand(
     """
     if truncation < 2:
         raise ValueError("truncation must be >= 2")
-    rule, r, theta, samples = _sample_grid(f, truncation, radial_order, angular_points)
-    points = theta.size
-    # fft bin k holds sum_j samples[:, j] e^(-2 pi i j k / points): exactly
-    # the trapezoid sum of f e^(-i n theta) for k = n mod points.
-    fhat = np.fft.fft(samples, axis=1)
-    coefficients = {}
-    for idx in basis_indices(truncation):
-        form = jacobi_form(idx)
-        angular = fhat[:, form.angular_frequency % points] * (2.0 * math.pi / points)
-        projection = (rule.weights / 4.0 * form.radial_kernel(r)) @ angular
-        coefficients[idx] = complex(projection / norm_sq(idx))
+    order = radial_order if radial_order is not None else truncation + 8
+    points = angular_points if angular_points is not None else 4 * truncation + 16
+    indices = basis_indices(truncation)
+    products = inner_products(f, indices, order, points)
+    coefficients = {idx: v / norm_sq(idx) for idx, v in zip(indices, products)}
     return ExpansionTable(coefficients=coefficients, truncation=truncation)
 
 
+def _synthesize(table: ExpansionTable, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Partial sum on the tensor grid r x theta, one column of A per mode."""
+    items = table.items()
+    indices = [idx for idx, _ in items]
+    coeffs = np.array([c for _, c in items])
+    modes = mode_kernels(indices, r)
+    radial = np.empty((r.size, len(modes)), dtype=complex)
+    for k, (_, positions, kernel) in enumerate(modes):
+        # the (1 - r^2) factor stays explicit, so the sum is 0 at r = 1 exactly
+        radial[:, k] = (1.0 - r * r) * (kernel @ coeffs[positions])
+    freqs = np.array([n for n, _, _ in modes], dtype=float)
+    return radial @ np.exp(1j * freqs[:, None] * theta[None, :])
+
+
 def reconstruct(
-    table: ExpansionTable,
-    radial_nodes: Sequence[float],
-    angular_nodes: Sequence[float],
+    table: ExpansionTable, radial_nodes: Sequence[float], angular_nodes: Sequence[float]
 ) -> GridSample:
     """Pointwise partial sum of the expansion on a polar tensor grid."""
     r = np.asarray(radial_nodes, dtype=float)
     theta = np.asarray(angular_nodes, dtype=float)
-    values = np.zeros((r.size, theta.size), dtype=complex)
-    for idx, c in table.items():
-        form = jacobi_form(idx)
-        values += c * np.outer(
-            form.radial_value(r), np.exp(1j * form.angular_frequency * theta)
-        )
-    return GridSample(radial_nodes=r, angular_nodes=theta, values=values)
+    return GridSample(radial_nodes=r, angular_nodes=theta, values=_synthesize(table, r, theta))
 
 
 def boundary_value_check(table: ExpansionTable, n_theta: int) -> float:
@@ -164,11 +149,7 @@ def boundary_value_check(table: ExpansionTable, n_theta: int) -> float:
     if n_theta < 1:
         raise ValueError("n_theta must be >= 1")
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    total = np.zeros(n_theta, dtype=complex)
-    for idx, c in table.items():
-        form = jacobi_form(idx)
-        total += c * form.radial_value(1.0) * np.exp(1j * form.angular_frequency * theta)
-    return float(np.max(np.abs(total)))
+    return float(np.max(np.abs(_synthesize(table, np.array([1.0]), theta))))
 
 
 def solve_table(f_table: ExpansionTable) -> ExpansionTable:
@@ -240,9 +221,7 @@ def expansion_residual(
     u = rule.nodes
     r = np.sqrt((1.0 + u) / 2.0)
     theta = 2.0 * math.pi * np.arange(points) / points
-    samples = np.array([[f(ri, tj) for tj in theta] for ri in r], dtype=complex)
-    partial = reconstruct(table, r, theta).values
-    residual_sq = np.abs(samples - partial) ** 2
+    residual_sq = np.abs(sample_polar(f, r, theta) - _synthesize(table, r, theta)) ** 2
     radial_weights = rule.weights / (1.0 - u)
     total = (math.pi / points) * float(radial_weights @ residual_sq.sum(axis=1))
     return math.sqrt(total)
@@ -253,7 +232,8 @@ def grid_interpolant(sample: GridSample) -> DiskFunction:
 
     Radii outside the sampled range take the nearest edge value, so the
     interpolant is defined on the whole closed disk even when the grid
-    stops short of the rim.
+    stops short of the rim.  The interpolant takes floats or broadcasting
+    arrays, and gives the same value at a point either way.
     """
     r_nodes = sample.radial_nodes
     theta_nodes = sample.angular_nodes
@@ -263,27 +243,23 @@ def grid_interpolant(sample: GridSample) -> DiskFunction:
     theta_ext = np.concatenate([theta_nodes, [theta_nodes[0] + two_pi]])
     values_ext = np.concatenate([sample.values, sample.values[:, :1]], axis=1)
 
-    def interpolate(r: float, theta: float) -> complex:
-        rr = min(max(float(r), float(r_nodes[0])), float(r_nodes[-1]))
-        i = bisect_left(r_nodes, rr)
-        if i == 0:
-            i0, i1, tr = 0, 0, 0.0
-        else:
-            i0, i1 = i - 1, min(i, r_nodes.size - 1)
-            den = r_nodes[i1] - r_nodes[i0]
-            tr = (rr - r_nodes[i0]) / den if den else 0.0
-        th = float(theta) % two_pi
-        if th < theta_ext[0]:
-            th += two_pi
-        j = bisect_left(theta_ext, th)
-        if j == 0:
-            j0, j1, tt = 0, 0, 0.0
-        else:
-            j0, j1 = j - 1, min(j, theta_ext.size - 1)
-            den = theta_ext[j1] - theta_ext[j0]
-            tt = (th - theta_ext[j0]) / den if den else 0.0
+    def bracket(nodes: np.ndarray, x: np.ndarray):
+        # nodes[lo] <= x <= nodes[hi]; outside the nodes lo == hi is the nearest
+        # end, which clamps
+        i = np.searchsorted(nodes, x, side="left")
+        lo, hi = np.maximum(i - 1, 0), np.minimum(i, nodes.size - 1)
+        den = nodes[hi] - nodes[lo]
+        t = np.where(den != 0.0, (x - nodes[lo]) / np.where(den != 0.0, den, 1.0), 0.0)
+        return lo, hi, t
+
+    def interpolate(r, theta):
+        th = np.asarray(theta, dtype=float) % two_pi
+        th = np.where(th < theta_ext[0], th + two_pi, th)
+        i0, i1, tr = bracket(r_nodes, np.asarray(r, dtype=float))
+        j0, j1, tt = bracket(theta_ext, th)
         row0 = values_ext[i0, j0] * (1 - tt) + values_ext[i0, j1] * tt
         row1 = values_ext[i1, j0] * (1 - tt) + values_ext[i1, j1] * tt
-        return complex(row0 * (1 - tr) + row1 * tr)
+        value = row0 * (1 - tr) + row1 * tr
+        return complex(value) if value.ndim == 0 else value
 
     return interpolate

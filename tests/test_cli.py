@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from scatterpoly import jacobi, quadrature, scattering
-from scatterpoly.cli import NonFiniteOutputError, format_float, main, render_json
+from scatterpoly.cli import NonFiniteOutputError, _resolve_input, format_float, main, render_json
 from scatterpoly.scattering import PQIndex, rodrigues
 
 
@@ -274,6 +274,31 @@ class TestExpand:
 
     def test_rejects_small_truncation(self, capsys):
         assert main(["expand", "builtin:one", "--trunc", "1"]) == 2
+
+
+class TestBuiltinInputs:
+    @pytest.mark.parametrize("spec", ["builtin:one", "builtin:radial_bump", "builtin:phi_3_2"])
+    def test_arrays_give_the_scalar_values(self, spec):
+        f, _ = _resolve_input(spec)
+        r = np.linspace(0.0, 0.99, 7)
+        theta = np.linspace(-1.0, 7.0, 5)
+        grid = np.broadcast_to(f(r[:, None], theta[None, :]), (7, 5))
+        expected = np.array([[complex(f(ri, tj)) for tj in theta] for ri in r])
+        assert np.array_equal(grid, expected)
+
+    def test_csv_grid_sampled_once_per_grid(self, monkeypatch):
+        write_grid_csv("input.csv", lambda r, t: complex(1.0 - r * r, r * math.sin(t)), 8, 16)
+        f, _ = _resolve_input("input.csv")
+        calls = []
+
+        def counted(r, theta):
+            calls.append(np.shape(r))
+            return f(r, theta)
+
+        monkeypatch.setattr("scatterpoly.cli._resolve_input", lambda spec: (counted, spec))
+        assert main(["expand", "input.csv", "--trunc", "6", "--out", "c.json"]) == 0
+        # one call for the projection grid, one for the residual grid
+        assert calls == [(14, 1), (24, 1)]
 
 
 class TestSolve:

@@ -15,6 +15,7 @@ from scatterpoly.jacobi import (
     gauss_legendre,
     jacobi_eval,
     jacobi_norm_sq,
+    jacobi_table,
     quasipolynomial_q,
 )
 
@@ -76,6 +77,22 @@ class TestJacobiEval:
             JacobiParams(1, -1, 0)
         with pytest.raises(ValueError):
             JacobiParams(1, 0, -1)
+
+
+class TestJacobiTable:
+    def test_columns_equal_jacobi_eval(self):
+        xs = np.linspace(-1.0, 1.0, 23)
+        for m in range(0, 9):
+            table = jacobi_table(m, 12, xs)
+            assert table.shape == (23, 13)
+            for nu in range(0, 13):
+                assert np.array_equal(table[:, nu], jacobi_eval(JacobiParams(1, m, nu), xs))
+
+    def test_keeps_the_shape_of_x(self):
+        xs = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        table = jacobi_table(2, 5, xs)
+        assert table.shape == (3, 4, 6)
+        assert np.array_equal(table[..., 5], jacobi_eval(JacobiParams(1, 2, 5), xs))
 
 
 class TestNormGate:

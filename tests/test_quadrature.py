@@ -96,6 +96,27 @@ class TestGram:
         assert matrix.indices == tuple(basis_indices(3))
 
 
+class TestBlockGram:
+    def test_matches_pairwise_inner_products(self):
+        indices = basis_indices(12)
+        entries = gram(indices).entries
+        pairwise = np.array([[inner_product_basis(a, b) for b in indices] for a in indices])
+        assert np.max(np.abs(entries - pairwise)) < 1e-14
+
+    def test_entries_real_and_symmetric(self):
+        entries = gram(basis_indices(9)).entries
+        assert entries.dtype == np.float64
+        assert np.array_equal(entries, entries.T)
+
+    def test_index_order_and_repeats(self):
+        # entries follow the caller's order, repeats included
+        indices = [PQIndex(2, 3), PQIndex(1, 1), PQIndex(2, 3), PQIndex(3, 2)]
+        entries = gram(indices).entries
+        for i, a in enumerate(indices):
+            for j, b in enumerate(indices):
+                assert abs(entries[i, j] - inner_product_basis(a, b)) < 1e-14
+
+
 class TestSelfAdjointness:
     def test_weighted_laplacian_symmetric_on_basis(self):
         indices = basis_indices(8)

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from scatterpoly import cli, scattering
@@ -19,6 +20,7 @@ from scatterpoly.scattering import (
     eigencheck,
     eigenspace_indices,
     jacobi_form,
+    mode_kernels,
     norm_sq,
     profile_value,
     radial_profile,
@@ -178,6 +180,22 @@ class TestJacobiForm:
             assert form.radial_value(r) == pytest.approx(
                 (1 - r * r) * form.radial_kernel(r), rel=1e-15
             )
+
+
+class TestModeKernels:
+    def test_columns_equal_radial_kernels(self):
+        indices = basis_indices(11)
+        r = [k / 17 for k in range(17)]
+        seen = []
+        for n, positions, kernel in mode_kernels(indices, r):
+            assert kernel.shape == (17, len(positions))
+            for column, k in enumerate(positions):
+                idx = indices[k]
+                assert idx.angular_frequency == n
+                expected = jacobi_form(idx).radial_kernel(np.array(r))
+                assert np.array_equal(kernel[:, column], expected)
+            seen += list(positions)
+        assert sorted(seen) == list(range(len(indices)))
 
 
 class TestFloatPathIsExactFree:

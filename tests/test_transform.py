@@ -3,16 +3,19 @@
 import cmath
 import math
 import random
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 
+from scatterpoly.jacobi import gauss_legendre
 from scatterpoly.poly_algebra import BivariatePoly
 from scatterpoly.quadrature import inner_product_function, inner_product_poly
 from scatterpoly.scattering import (
     PQIndex,
     apply_modified_laplacian,
     basis_indices,
+    jacobi_form,
     norm_sq,
     rodrigues,
 )
@@ -309,3 +312,137 @@ class TestGridInterpolant:
             rr = rng.uniform(0.0, 0.98)
             tt = rng.uniform(0.0, 2 * math.pi)
             assert abs(interp(rr, tt) - f(rr, tt)) < 5e-3
+
+
+def per_index_coefficients(samples, truncation, rule, theta):
+    """Projection one index at a time with an explicit phase sum: the
+    reference for the per-mode route."""
+    r = np.sqrt((1.0 + rule.nodes) / 2.0)
+    out = {}
+    for idx in basis_indices(truncation):
+        form = jacobi_form(idx)
+        phase = np.exp(-1j * form.angular_frequency * theta)
+        angular = samples @ phase * (2.0 * math.pi / theta.size)
+        out[idx] = complex((rule.weights / 4.0 * form.radial_kernel(r)) @ angular) / norm_sq(idx)
+    return out
+
+
+def counting(f):
+    calls = []
+
+    def wrapped(r, theta):
+        calls.append(np.shape(r))
+        return f(r, theta)
+
+    return wrapped, calls
+
+
+class TestPerModeRoute:
+    def test_reconstruct_matches_per_index_outer_sum(self):
+        rng = random.Random(19)
+        table = random_table(rng, 8)
+        r, theta = polar_grid(16, 32)
+        expected = np.zeros((16, 32), dtype=complex)
+        for idx, c in table.items():
+            form = jacobi_form(idx)
+            expected += c * np.outer(
+                form.radial_value(r), np.exp(1j * form.angular_frequency * theta)
+            )
+        assert np.max(np.abs(reconstruct(table, r, theta).values - expected)) < 1e-14
+
+    def test_float_only_target_matches_per_index_reference(self):
+        # math.exp rejects arrays, so f is sampled one node at a time
+        def f(r, t):
+            return complex((1.0 - r * r) * math.exp(r * math.cos(t)), r * math.sin(2 * t))
+
+        f, calls = counting(f)
+        table = expand(f, 8, radial_order=16, angular_points=48)
+        assert calls.count(()) == 16 * 48
+        rule = gauss_legendre(16)
+        r = np.sqrt((1.0 + rule.nodes) / 2.0)
+        theta = 2.0 * math.pi * np.arange(48) / 48
+        samples = np.array([[f(ri, tj) for tj in theta] for ri in r], dtype=complex)
+        reference = per_index_coefficients(samples, 8, rule, theta)
+        for idx, value in table.items():
+            assert abs(value - reference[idx]) < 1e-14
+
+    def test_array_target_called_once_per_grid(self):
+        f, calls = counting(basis_function(PQIndex(2, 3)))
+        table = expand(f, 10)
+        assert calls == [(18, 1)]
+        expansion_residual(f, table)
+        assert calls[1:] == [(32, 1)]
+        solve_weighted_poisson(f, 6)
+        assert len(calls) == 3
+
+    def test_array_and_float_sampling_agree(self):
+        idx = PQIndex(3, 1)
+        array_table = expand(basis_function(idx), 7)
+        float_only = lambda r, t: complex(basis_function(idx)(float(r), float(t)))
+        float_table = expand(float_only, 7)
+        for key, value in array_table.items():
+            assert abs(value - float_table.coefficient(key)) < 1e-14
+
+
+def scalar_interpolant(sample: GridSample):
+    """Point-at-a-time bilinear interpolant, the reference for grid_interpolant."""
+    r_nodes = sample.radial_nodes
+    two_pi = 2.0 * math.pi
+    theta_ext = np.concatenate([sample.angular_nodes, [sample.angular_nodes[0] + two_pi]])
+    values_ext = np.concatenate([sample.values, sample.values[:, :1]], axis=1)
+
+    def interpolate(r, theta):
+        rr = min(max(float(r), float(r_nodes[0])), float(r_nodes[-1]))
+        i = bisect_left(r_nodes, rr)
+        if i == 0:
+            i0, i1, tr = 0, 0, 0.0
+        else:
+            i0, i1 = i - 1, min(i, r_nodes.size - 1)
+            den = r_nodes[i1] - r_nodes[i0]
+            tr = (rr - r_nodes[i0]) / den if den else 0.0
+        th = float(theta) % two_pi
+        if th < theta_ext[0]:
+            th += two_pi
+        j = bisect_left(theta_ext, th)
+        if j == 0:
+            j0, j1, tt = 0, 0, 0.0
+        else:
+            j0, j1 = j - 1, min(j, theta_ext.size - 1)
+            den = theta_ext[j1] - theta_ext[j0]
+            tt = (th - theta_ext[j0]) / den if den else 0.0
+        row0 = values_ext[i0, j0] * (1 - tt) + values_ext[i0, j1] * tt
+        row1 = values_ext[i1, j0] * (1 - tt) + values_ext[i1, j1] * tt
+        return complex(row0 * (1 - tr) + row1 * tr)
+
+    return interpolate
+
+
+class TestArrayInterpolant:
+    @pytest.mark.parametrize("theta0", [0.0, 0.3])
+    def test_bit_identical_to_scalar_reference(self, theta0):
+        rng = random.Random(2024)
+        r_nodes = np.sort(np.array([rng.uniform(0.05, 0.95) for _ in range(9)]))
+        theta_nodes = theta0 + np.sort(
+            np.array([rng.uniform(0.0, 2 * math.pi - 0.4) for _ in range(11)])
+        )
+        values = np.array(
+            [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in theta_nodes] for _ in r_nodes]
+        )
+        sample = GridSample(radial_nodes=r_nodes, angular_nodes=theta_nodes, values=values)
+        reference = scalar_interpolant(sample)
+        interp = grid_interpolant(sample)
+        # below the first node, above the last, theta >= 2 pi, negative theta,
+        # and the nodes themselves
+        radii = [rng.uniform(-0.2, 1.2) for _ in range(200)] + [0.0, 1.0] + list(r_nodes)
+        angles = [rng.uniform(-9.0, 15.0) for _ in range(200)] + [2 * math.pi, -2 * math.pi]
+        angles += list(theta_nodes)
+        r = np.array(radii)
+        theta = np.array(angles)
+        grid = interp(r[:, None], theta[None, :])
+        expected = np.array([[reference(ri, tj) for tj in theta] for ri in r])
+        assert grid.shape == expected.shape
+        assert np.array_equal(grid.view(np.int64), expected.view(np.int64))
+        for ri, tj in zip(radii[:20], angles[:20]):
+            value = interp(ri, tj)
+            assert isinstance(value, complex)
+            assert value == reference(ri, tj)
