@@ -6,7 +6,9 @@ one-line summary to stdout.  Output is deterministic byte for byte:
 floats are always rendered through the same 17-significant-digit format,
 orderings are fixed, and no timestamps or environment state leak in.
 Exit codes: 0 success, 1 verification or internal failure, 2 usage
-error.  No output file ever holds a nan or an infinity.
+error, which includes ``table`` and ``verify`` sizes above the limits on
+exact work (:data:`MAX_TABLE_SUM`, :data:`MAX_VERIFY_SUM`).  No output file
+ever holds a nan or an infinity.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import json
 import math
 import re
 import sys
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,10 +32,9 @@ from .scattering import (
     eigencheck,
     jacobi_form,
     norm_sq,
-    profile_value,
-    radial_profile,
     radial_sum,
     rodrigues,
+    rodrigues_profile,
     sign_resolution,
 )
 from .quadrature import DEFAULT_EPS_LADDER, gram, moment_ladder, moment_slope
@@ -210,18 +210,15 @@ def _resolve_input(spec: str) -> tuple[Callable[[float, float], complex], str]:
 
 
 def _grid_rows(sample_r, sample_theta, values) -> list[list[str]]:
+    """CSV rows r,theta,re,im; each node coordinate is formatted once."""
+    theta_text = [format_float(theta) for theta in sample_theta]
     rows = [["r", "theta", "re", "im"]]
-    for i, r in enumerate(sample_r):
-        for j, theta in enumerate(sample_theta):
-            value = values[i, j]
-            rows.append(
-                [
-                    format_float(r),
-                    format_float(theta),
-                    format_float(value.real),
-                    format_float(value.imag),
-                ]
-            )
+    for r, row in zip(sample_r, np.asarray(values).tolist()):
+        r_text = format_float(r)
+        rows += [
+            [r_text, theta, format_float(value.real), format_float(value.imag)]
+            for theta, value in zip(theta_text, row)
+        ]
     return rows
 
 
@@ -256,8 +253,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Largest p + q that ``table`` prints and largest ``verify`` truncation;
+#: the exact work grows about cubically in p + q (README, Performance).
+MAX_TABLE_SUM = 1000
+MAX_VERIFY_SUM = 64
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     idx = _parse_index(args.p, args.q)
+    if idx.p + idx.q > MAX_TABLE_SUM:
+        raise CLIError(f"p + q must be <= {MAX_TABLE_SUM} (limit on exact work)")
     text = rodrigues(idx).to_text()
     if args.out:
         _write_text(args.out, text + "\n")
@@ -267,24 +272,25 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-_VERIFY_RADII = tuple(Fraction(k, 11) for k in range(1, 11))
+#: The sign table compares both routes at the radii k/11, k = 1..10.
+_VERIFY_RADII = range(1, 11)
+_VERIFY_RADIUS_DEN = 11
 
 
 def _sign_mismatch(idx: PQIndex) -> float:
     """Scaled deviation of the factored route from the exact polynomial."""
-    _, profile = radial_profile(rodrigues(idx))
-    form = jacobi_form(idx)
-    exact = [float(profile_value(profile, r)) for r in _VERIFY_RADII]
-    scale = max(1.0, max(abs(v) for v in exact))
-    worst = max(
-        abs(form.radial_value(float(r)) - v) for r, v in zip(_VERIFY_RADII, exact)
-    )
-    return worst / scale
+    numerators, den = rodrigues_profile(idx).numerators_at(_VERIFY_RADII, _VERIFY_RADIUS_DEN)
+    exact = np.array([num / den for num in numerators])
+    approx = jacobi_form(idx).radial_value(np.array(_VERIFY_RADII) / _VERIFY_RADIUS_DEN)
+    scale = max(1.0, float(np.max(np.abs(exact))))
+    return float(np.max(np.abs(approx - exact))) / scale
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_sum < 2:
         raise CLIError("max_sum must be >= 2")
+    if args.max_sum > MAX_VERIFY_SUM:
+        raise CLIError(f"max_sum must be <= {MAX_VERIFY_SUM} (limit on exact work)")
     indices = basis_indices(args.max_sum)
 
     route_bad = [i for i in indices if rodrigues(i) != radial_sum(i)]
@@ -292,7 +298,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     boundary_bad = []
     for idx in indices:
         try:
-            rodrigues(idx).divide_by_boundary_factor()
+            rodrigues_profile(idx).divide_by_boundary()
         except NotDivisibleError:
             boundary_bad.append(idx)
 

@@ -9,6 +9,13 @@ through :meth:`BivariatePoly.evaluate`.
 The factor (1 - z*zbar) vanishes on the unit circle, so divisibility by it
 certifies that a polynomial satisfies zero Dirichlet boundary values; the
 exact long division lives in :meth:`BivariatePoly.divide_by_boundary_factor`.
+
+:class:`WProfile` is the compact form of a polynomial with one angular
+frequency n: integer coefficients in w = z*zbar over one common
+denominator.  It is closed under d/dz, d/dzbar and multiplication by
+(1 - w) with integer-only rules (docs/math_notes.md section 8), so the
+basis is built and checked in integers and meets Fraction only when
+converted to a :class:`BivariatePoly`.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from operator import mul, sub
+from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -247,3 +255,96 @@ Z = BivariatePoly.monomial(1, 0)
 ZBAR = BivariatePoly.monomial(0, 1)
 #: 1 - z*zbar; vanishes on the unit circle.
 BOUNDARY_FACTOR = ONE - Z * ZBAR
+
+
+@dataclass(frozen=True)
+class WProfile:
+    """(1/den) * sum_k coeffs[k] w^k times z^n (n >= 0) or zbar^-n (n < 0).
+
+    Here w = z*zbar, so term k is the monomial z^(k+n) zbar^k for n >= 0
+    and z^k zbar^(k-n) for n < 0: one angular frequency n, radial power
+    2k + |n|.  Coefficients are Python integers and ``den`` is a positive
+    integer that no operation below changes, so every step is integer
+    arithmetic; :meth:`to_poly` converts to the general ring once.
+    """
+
+    n: int
+    coeffs: tuple[int, ...]
+    den: int = 1
+
+    def dz(self) -> "WProfile":
+        """d/dz, at frequency n - 1.
+
+        Term k goes to (k+n) w^k for n >= 1 and to k w^(k-1) for n <= 0.
+        """
+        n, c = self.n, self.coeffs
+        if n >= 1:
+            out = tuple(map(mul, range(n, n + len(c)), c))
+        else:
+            out = tuple(map(mul, range(1, len(c)), c[1:]))
+        return WProfile(n - 1, out, self.den)
+
+    def dzbar(self) -> "WProfile":
+        """d/dzbar, at frequency n + 1.
+
+        Term k goes to (k-n) w^k for n <= -1 and to k w^(k-1) for n >= 0.
+        """
+        n, c = self.n, self.coeffs
+        if n <= -1:
+            out = tuple(map(mul, range(-n, len(c) - n), c))
+        else:
+            out = tuple(map(mul, range(1, len(c)), c[1:]))
+        return WProfile(n + 1, out, self.den)
+
+    def times_boundary(self) -> "WProfile":
+        """The product with (1 - w): c'_k = c_k - c_(k-1)."""
+        c = self.coeffs
+        return WProfile(self.n, tuple(map(sub, c + (0,), (0,) + c)), self.den)
+
+    def divide_by_boundary(self) -> "WProfile":
+        """Exact quotient by (1 - w), or raise :class:`NotDivisibleError`.
+
+        The quotient's coefficients are the running sums of the input's;
+        the last running sum is the remainder and must vanish.
+        """
+        running, out = 0, []
+        for ck in self.coeffs:
+            running += ck
+            out.append(running)
+        if running != 0:
+            raise NotDivisibleError(
+                f"profile at frequency n={self.n} is not a multiple of (1 - w)"
+            )
+        return WProfile(self.n, tuple(out[:-1]), self.den)
+
+    def numerators_at(self, radii: Sequence[int], radius_den: int) -> tuple[list[int], int]:
+        """Exact radial values at r = a / radius_den for each integer a.
+
+        Horner's rule in a^2 with integer weights gives one numerator per
+        radius over the common denominator den * radius_den^(2K + |n|),
+        K the top index, so each value converts to the nearest double by
+        one correctly rounded int / int division.
+        """
+        top = max(len(self.coeffs) - 1, 0)
+        den_sq = radius_den * radius_den
+        weights = [ck * den_sq ** (top - k) for k, ck in enumerate(self.coeffs)]
+        m = abs(self.n)
+        numerators = []
+        for a in radii:
+            a_sq = a * a
+            acc = 0
+            for weight in reversed(weights):
+                acc = acc * a_sq + weight
+            numerators.append(a**m * acc)
+        return numerators, self.den * radius_den ** (2 * top + m)
+
+    def to_poly(self) -> BivariatePoly:
+        """The same polynomial in the general ring."""
+        a0, b0 = (self.n, 0) if self.n >= 0 else (0, -self.n)
+        return BivariatePoly(
+            {
+                (k + a0, k + b0): ComplexRational(Fraction(ck, self.den))
+                for k, ck in enumerate(self.coeffs)
+                if ck
+            }
+        )

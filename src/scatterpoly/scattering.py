@@ -4,12 +4,20 @@ Each index pair (p, q) with min{p,q} >= 1 owns one polynomial phi^(p,q),
 produced here by three independent routes that must agree:
 
 * :func:`rodrigues` applies p + q Wirtinger derivatives to a power of
-  (1 - z*zbar) and rescales; exact rational arithmetic throughout.
+  (1 - z*zbar) and rescales; exact throughout.
 * :func:`radial_sum` writes the same polynomial as an explicit binomial
   coefficient sum; also exact, sharing no differentiation code.
 * :func:`jacobi_form` factors the polynomial as
   coeff * (1 - r^2) * r^m * P_nu^(1,m)(2 r^2 - 1) * e^(i n theta)
   and is the fast route for pointwise evaluation.
+
+Every phi^(p,q) has the single angular frequency n = q - p and real
+rational coefficients, so both exact routes work on the integer
+w-profile of :class:`~scatterpoly.poly_algebra.WProfile`: integer
+coefficients in w = z*zbar over one common denominator
+(docs/math_notes.md section 8).  :func:`rodrigues_profile` differentiates
+that integer vector, :func:`eigencheck` checks the eigenrelation on it, and
+each route becomes a :class:`BivariatePoly` only once, at the end.
 
 Two sign conventions circulate for the factored route's prefactor:
 (-1)^(q + max{p,q}) and (-1)^(q+1).  They disagree whenever max{p,q} is
@@ -22,7 +30,7 @@ the Rodrigues route itself lives in the ``verify`` command and the tests.
 
 The polynomials vanish on the unit circle, carry the pure angular mode
 e^(i(q-p) theta), and satisfy (1 - z*zbar) d2/dz dzbar phi = -pq phi,
-all of which is checkable exactly through :mod:`scatterpoly.poly_algebra`.
+all of which is checkable exactly.
 """
 
 from __future__ import annotations
@@ -33,12 +41,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Sequence, Union
 
 import numpy as np
 
 from .jacobi import JacobiParams, jacobi_eval, jacobi_table
-from .poly_algebra import BOUNDARY_FACTOR, BivariatePoly
+from .poly_algebra import BOUNDARY_FACTOR, BivariatePoly, WProfile
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -125,21 +134,42 @@ class RadialForm:
 
 
 @lru_cache(maxsize=None)
-def rodrigues(idx: PQIndex) -> BivariatePoly:
-    """phi^(p,q) by repeated exact differentiation.
+def _boundary_power(k: int) -> WProfile:
+    """(1 - w)^k at frequency 0, by repeated multiplication by (1 - w)."""
+    power = WProfile(0, (1,))
+    for _ in range(k):
+        power = power.times_boundary()
+    return power
+
+
+@lru_cache(maxsize=None)
+def rodrigues_profile(idx: PQIndex) -> WProfile:
+    """phi^(p,q) by repeated exact differentiation, as an integer w-profile.
 
     (-1)^p / (q * (p+q-1)!) * (1 - z*zbar) * d^(p+q)/dz^p dzbar^q
     applied to (1 - z*zbar)^(p+q-1).  This is the normative construction;
-    the other routes are validated against it.
+    the other routes are validated against it.  Every step before the
+    final scale is integer arithmetic on the coefficient vector, and no
+    binomial closed form is used, so the route stays independent of
+    :func:`radial_sum`.
     """
     p, q = idx.p, idx.q
-    core = BOUNDARY_FACTOR ** (p + q - 1)
+    core = _boundary_power(p + q - 1)
     for _ in range(p):
-        core = core.wirtinger_dz()
+        core = core.dz()
     for _ in range(q):
-        core = core.wirtinger_dzbar()
-    scale = Fraction((-1) ** p, q * math.factorial(p + q - 1))
-    return BOUNDARY_FACTOR * core * scale
+        core = core.dzbar()
+    phi = core.times_boundary()
+    sign = (-1) ** p
+    return WProfile(
+        phi.n, tuple(sign * c for c in phi.coeffs), q * math.factorial(p + q - 1)
+    )
+
+
+@lru_cache(maxsize=None)
+def rodrigues(idx: PQIndex) -> BivariatePoly:
+    """phi^(p,q) from :func:`rodrigues_profile`, in the general ring."""
+    return rodrigues_profile(idx).to_poly()
 
 
 @lru_cache(maxsize=None)
@@ -154,28 +184,27 @@ def radial_sum(idx: PQIndex) -> BivariatePoly:
             / (q (p+q-1)! (k-p)! (k-q)!) * z^(k-p) zbar^(k-q)
 
     with every coefficient an exact rational.  Shares no code with the
-    differentiation route beyond the polynomial ring itself.
+    differentiation route beyond the integer profile's product with
+    (1 - z*zbar) and its conversion to the general ring.
     """
-    p, q = idx.p, idx.q
-    den = q * math.factorial(p + q - 1)
-    terms = {
-        (k - p, k - q): Fraction(num, den) for k, num in _sum_numerators(idx).items()
-    }
-    return BOUNDARY_FACTOR * BivariatePoly(terms)
+    return _sum_kernel(idx).times_boundary().to_poly()
 
 
-def _sum_numerators(idx: PQIndex) -> dict[int, int]:
-    """Term k of the binomial sum as an integer over q (p+q-1)!.
+def _sum_kernel(idx: PQIndex) -> WProfile:
+    """The binomial sum of :func:`radial_sum` without its (1 - w) factor.
 
-    The numerator is (-1)^(p+k) C(p+q-1, k) (k!/(k-p)!) (k!/(k-q)!), for
-    k = max{p,q} .. p+q-1.
+    Term k = max{p,q} .. p+q-1 is the numerator (-1)^(p+k) C(p+q-1, k)
+    (k!/(k-p)!) (k!/(k-q)!) over the common denominator q (p+q-1)!; it
+    multiplies z^(k-p) zbar^(k-q), that is w^(k - max{p,q}) at frequency
+    q - p.
     """
     p, q = idx.p, idx.q
     deg = p + q - 1
-    return {
-        k: (-1) ** (p + k) * math.comb(deg, k) * math.perm(k, p) * math.perm(k, q)
+    numerators = tuple(
+        (-1) ** (p + k) * math.comb(deg, k) * math.perm(k, p) * math.perm(k, q)
         for k in range(max(p, q), deg + 1)
-    }
+    )
+    return WProfile(idx.angular_frequency, numerators, q * math.factorial(deg))
 
 
 def radial_profile(poly: BivariatePoly) -> tuple[int, dict[int, Fraction]]:
@@ -212,19 +241,10 @@ def radial_sum_values(idx: PQIndex, radii: Sequence[int]) -> tuple[list[int], in
     their common denominator q (p+q-1)! 1024^(p+q), so each value converts
     to the nearest double by a single int / int division.
     """
-    p, q = idx.p, idx.q
-    deg = p + q - 1
+    # the factor (1 - r^2) = (1024^2 - a^2) / 1024^2 is applied per radius
+    numerators, den = _sum_kernel(idx).numerators_at(radii, _RADIUS_DEN)
     den_sq = _RADIUS_DEN * _RADIUS_DEN
-    # term k carries r^(2k-p-q); weight it up to the common power of 1024
-    weights = [num * den_sq ** (deg - k) for k, num in _sum_numerators(idx).items()]
-    numerators = []
-    for a in radii:
-        a_sq = a * a
-        kernel = 0
-        for weight in reversed(weights):
-            kernel = kernel * a_sq + weight
-        numerators.append((den_sq - a_sq) * a**idx.m * kernel)
-    return numerators, q * math.factorial(deg) * _RADIUS_DEN ** (p + q)
+    return [(den_sq - a * a) * num for a, num in zip(radii, numerators)], den * den_sq
 
 
 @lru_cache(maxsize=None)
@@ -319,11 +339,17 @@ def apply_modified_laplacian(poly: BivariatePoly) -> BivariatePoly:
 def eigencheck(idx: PQIndex) -> bool:
     """True iff the weighted Laplacian sends phi^(p,q) to -pq * phi^(p,q).
 
-    Checked by exact rational arithmetic: the sum of the Laplacian image
-    and pq times the polynomial must be identically zero.
+    Checked exactly on the integer profile: (1 - w) d2/dz dzbar phi + pq phi
+    must have every coefficient zero.  Both terms share phi's denominator,
+    so the numerators decide.
     """
-    phi = rodrigues(idx)
-    return (apply_modified_laplacian(phi) + phi * idx.eigenvalue).is_zero()
+    phi = rodrigues_profile(idx)
+    image = phi.dz().dzbar().times_boundary()
+    residual = (
+        a + idx.eigenvalue * b
+        for a, b in zip_longest(image.coeffs, phi.coeffs, fillvalue=0)
+    )
+    return not any(residual)
 
 
 def eigenspace_indices(k: int) -> list[PQIndex]:

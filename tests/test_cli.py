@@ -4,13 +4,31 @@ import csv
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from scatterpoly import jacobi, quadrature, scattering
-from scatterpoly.cli import NonFiniteOutputError, _resolve_input, format_float, main, render_json
-from scatterpoly.scattering import PQIndex, rodrigues
+from scatterpoly.cli import (
+    MAX_TABLE_SUM,
+    MAX_VERIFY_SUM,
+    NonFiniteOutputError,
+    _grid_rows,
+    _resolve_input,
+    _sign_mismatch,
+    format_float,
+    main,
+    render_json,
+)
+from scatterpoly.scattering import (
+    PQIndex,
+    basis_indices,
+    jacobi_form,
+    profile_value,
+    radial_profile,
+    rodrigues,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -38,6 +56,29 @@ def write_grid_csv(path, f, n_radial, n_angular):
                 theta = 2.0 * math.pi * j / n_angular
                 value = f(r, theta)
                 writer.writerow([repr(r), repr(theta), repr(value.real), repr(value.imag)])
+
+
+class TestGridRows:
+    def test_matches_per_cell_formatting(self):
+        rng = np.random.default_rng(5)
+        r = np.concatenate([[0.0], rng.uniform(0, 1, 4)])
+        theta = np.concatenate([[0.0], rng.uniform(0, 7, 6)])
+        values = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
+        values[0, 0] = complex(-0.0, -0.0)
+        expected = [["r", "theta", "re", "im"]] + [
+            [format_float(r[i]), format_float(theta[j]),
+             format_float(values[i, j].real), format_float(values[i, j].imag)]
+            for i in range(5)
+            for j in range(7)
+        ]
+        assert _grid_rows(r, theta, values) == expected
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf)])
+    def test_refuses_non_finite_cell(self, bad):
+        values = np.zeros((2, 3), dtype=complex)
+        values[1, 2] = bad
+        with pytest.raises(NonFiniteOutputError):
+            _grid_rows(np.array([0.0, 0.5]), np.array([0.0, 1.0, 2.0]), values)
 
 
 class TestFormatting:
@@ -116,6 +157,12 @@ class TestTable:
         assert open("poly.txt").read() == rodrigues(PQIndex(1, 1)).to_text() + "\n"
 
 
+    def test_limit_on_exact_work(self, capsys):
+        assert main(["table", "1", str(MAX_TABLE_SUM - 1), "--out", "top.txt"]) == 0
+        assert main(["table", "1", str(MAX_TABLE_SUM)]) == 2
+        assert str(MAX_TABLE_SUM) in capsys.readouterr().err
+
+
 class TestVerify:
     def test_passes_and_reports(self, capsys):
         assert main(["verify", "6"]) == 0
@@ -152,6 +199,22 @@ class TestVerify:
 
     def test_rejects_small_max_sum(self, capsys):
         assert main(["verify", "1"]) == 2
+
+    def test_sign_mismatch_matches_the_fraction_reference(self):
+        # reference: exact values as Fractions, one scalar evaluation per
+        # radius; the report must agree to the last bit
+        for idx in basis_indices(12):
+            _, profile = radial_profile(rodrigues(idx))
+            form = jacobi_form(idx)
+            exact = [float(profile_value(profile, Fraction(k, 11))) for k in range(1, 11)]
+            scale = max(1.0, max(abs(v) for v in exact))
+            worst = max(abs(form.radial_value(k / 11) - v) for k, v in zip(range(1, 11), exact))
+            assert _sign_mismatch(idx) == worst / scale
+
+    def test_limit_on_exact_work(self, capsys):
+        assert main(["verify", str(MAX_VERIFY_SUM + 1)]) == 2
+        assert str(MAX_VERIFY_SUM) in capsys.readouterr().err
+        assert not os.path.exists("verify_report.json")
 
 
 class TestGram:

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scatterpoly.poly_algebra import (
     BOUNDARY_FACTOR,
@@ -15,7 +17,9 @@ from scatterpoly.poly_algebra import (
     BivariatePoly,
     ComplexRational,
     NotDivisibleError,
+    WProfile,
 )
+from scatterpoly.scattering import profile_value, radial_profile
 
 from helpers import random_poly, random_point
 
@@ -192,3 +196,44 @@ class TestSerialization:
     def test_imaginary_parts_rendered(self):
         p = BivariatePoly({(2, 0): ComplexRational(Fraction(0), Fraction(-2, 3))})
         assert p.to_text() == "(0/1,-2/3) z^2 zbar^0"
+
+
+#: Random pure-mode integer profiles: frequency -6..6, up to 8 coefficients.
+profiles = st.builds(
+    WProfile,
+    n=st.integers(-6, 6),
+    coeffs=st.lists(st.integers(-(10**6), 10**6), max_size=8).map(tuple),
+    den=st.integers(1, 1000),
+)
+
+
+class TestWProfile:
+    def test_monomials_of_each_sign_of_frequency(self):
+        assert WProfile(2, (5, 7), 3).to_poly() == frac_poly(
+            {(2, 0): Fraction(5, 3), (3, 1): Fraction(7, 3)}
+        )
+        assert WProfile(-1, (4,)).to_poly() == frac_poly({(0, 1): 4})
+        assert WProfile(0, (1, -1)).to_poly() == BOUNDARY_FACTOR
+
+    @given(profiles)
+    @settings(max_examples=200, deadline=None)
+    def test_compact_calculus_matches_the_ring(self, profile):
+        poly = profile.to_poly()
+        assert profile.dz().to_poly() == poly.wirtinger_dz()
+        assert profile.dzbar().to_poly() == poly.wirtinger_dzbar()
+        product = profile.times_boundary()
+        assert product.to_poly() == BOUNDARY_FACTOR * poly
+        # division by (1 - w) round-trips, in both representations
+        assert product.divide_by_boundary() == profile
+        assert product.to_poly().divide_by_boundary_factor() == poly
+        if sum(profile.coeffs) != 0:
+            with pytest.raises(NotDivisibleError):
+                profile.divide_by_boundary()
+
+    @given(profiles, st.lists(st.integers(0, 50), min_size=1, max_size=4), st.integers(1, 50))
+    @settings(max_examples=100, deadline=None)
+    def test_numerators_are_exact_values(self, profile, radii, radius_den):
+        numerators, den = profile.numerators_at(radii, radius_den)
+        _, radial = radial_profile(profile.to_poly())
+        for a, num in zip(radii, numerators):
+            assert Fraction(num, den) == profile_value(radial, Fraction(a, radius_den))

@@ -28,6 +28,7 @@ from scatterpoly.scattering import (
     radial_sum_values,
     resolved_sign,
     rodrigues,
+    rodrigues_profile,
     sign_resolution,
 )
 from scatterpoly.transform import expand, reconstruct, solve_weighted_poisson
@@ -92,6 +93,69 @@ class TestRodrigues:
         for idx in basis_indices(10):
             quotient = rodrigues(idx).divide_by_boundary_factor()
             assert BOUNDARY_FACTOR * quotient == rodrigues(idx)
+
+
+def ring_rodrigues(idx):
+    """Reference: the Rodrigues formula differentiated in the general ring."""
+    p, q = idx.p, idx.q
+    core = BOUNDARY_FACTOR ** (p + q - 1)
+    for _ in range(p):
+        core = core.wirtinger_dz()
+    for _ in range(q):
+        core = core.wirtinger_dzbar()
+    scale = Fraction((-1) ** p, q * math.factorial(p + q - 1))
+    return BOUNDARY_FACTOR * core * scale
+
+
+class TestIntegerRodrigues:
+    def test_equals_the_ring_route(self):
+        for idx in basis_indices(14):
+            reference = ring_rodrigues(idx)
+            assert rodrigues(idx) == reference
+            assert rodrigues(idx).to_text() == reference.to_text()
+
+    def test_uses_no_binomial_closed_form(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the Rodrigues route used a binomial closed form")
+
+        monkeypatch.setattr(math, "comb", refuse)
+        monkeypatch.setattr(math, "perm", refuse)
+        monkeypatch.setattr(scattering, "_sum_kernel", refuse)
+        scattering._boundary_power.cache_clear()
+        rodrigues_profile.cache_clear()
+        rodrigues.cache_clear()
+        for idx in basis_indices(8):
+            assert rodrigues(idx) == ring_rodrigues(idx)
+            assert eigencheck(idx)
+
+
+class TestCorruptedProfile:
+    """The integer checks still fail when the Rodrigues profile is wrong."""
+
+    @pytest.fixture
+    def corrupted(self, monkeypatch):
+        def corrupt(idx):
+            profile = reference(idx)
+            coeffs = (profile.coeffs[0] + 1,) + profile.coeffs[1:]
+            return type(profile)(profile.n, coeffs, profile.den)
+
+        reference = scattering.rodrigues_profile
+        monkeypatch.setattr(scattering, "rodrigues_profile", corrupt)
+        monkeypatch.setattr(cli, "rodrigues_profile", corrupt)
+        rodrigues.cache_clear()
+        yield
+        rodrigues.cache_clear()
+
+    def test_eigencheck_fails(self, corrupted):
+        for pq in ((1, 1), (2, 3), (4, 1)):
+            assert not eigencheck(PQIndex(*pq))
+
+    def test_verify_fails(self, corrupted, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", "6"]) == 1
+        out = capsys.readouterr().out
+        assert "eigenrelation: FAIL" in out
+        assert "route_equivalence: FAIL" in out
 
 
 class TestRadialSum:
