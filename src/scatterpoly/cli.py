@@ -6,9 +6,15 @@ one-line summary to stdout.  Output is deterministic byte for byte:
 floats are always rendered through the same 17-significant-digit format,
 orderings are fixed, and no timestamps or environment state leak in.
 Exit codes: 0 success, 1 verification or internal failure, 2 usage
-error, which includes ``table`` and ``verify`` sizes above the limits on
-exact work (:data:`MAX_TABLE_SUM`, :data:`MAX_VERIFY_SUM`).  No output file
-ever holds a nan or an infinity.
+error, which includes sizes above the limits on work (:data:`MAX_TABLE_SUM`,
+:data:`MAX_VERIFY_SUM`, :data:`MAX_TRUNC`, :data:`MAX_GRAM_SUM`,
+:data:`MAX_GRID_CELLS`, :data:`MAX_MOMENT_SUM`).  No output file ever
+holds a nan or an infinity.
+
+Import boundary: this module loads only the exact layer.  Each float
+command imports numpy and the float layers it uses when it runs, after
+its arguments have passed every check, so ``table``, ``--help``, usage
+errors and size-limit exits never import numpy.
 """
 
 from __future__ import annotations
@@ -19,11 +25,8 @@ import json
 import math
 import re
 import sys
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-import numpy as np
-
-from .jacobi import ConvergenceError
 from .poly_algebra import NotDivisibleError
 from .scattering import (
     PQIndex,
@@ -37,19 +40,9 @@ from .scattering import (
     rodrigues_profile,
     sign_resolution,
 )
-from .quadrature import DEFAULT_EPS_LADDER, gram, moment_ladder, moment_slope
-from .transform import (
-    ExpansionTable,
-    basis_function,
-    boundary_value_check,
-    expand,
-    expansion_residual,
-    grid_interpolant,
-    GridSample,
-    polar_grid,
-    reconstruct,
-    solve_weighted_poisson,
-)
+
+if TYPE_CHECKING:
+    from .transform import ExpansionTable, GridSample
 
 
 class CLIError(Exception):
@@ -90,16 +83,19 @@ def render_json(obj, indent: int = 0) -> str:
             return "[]"
         body = ",\n".join(f"{pad}  {render_json(item, indent + 1)}" for item in obj)
         return "[\n" + body + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+    if isinstance(obj, float):
+        return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if obj is None:
         return "null"
+    if getattr(obj, "shape", None) == ():
+        # a numpy scalar (np.bool_, np.int64, np.float32, ...) as its Python value
+        return render_json(obj.item(), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -133,6 +129,8 @@ def _parse_grid_spec(spec: str) -> tuple[int, int]:
     n_radial, n_angular = int(match.group(1)), int(match.group(2))
     if n_radial < 2 or n_angular < 2:
         raise CLIError("grid must be at least 2x2")
+    if n_radial * n_angular > MAX_GRID_CELLS:
+        raise CLIError(f"grid must have at most {MAX_GRID_CELLS} cells (limit on float work)")
     return n_radial, n_angular
 
 
@@ -145,7 +143,7 @@ def _load_grid_csv(path: str) -> GridSample:
         raise CLIError(f"cannot read {path}: {exc}") from exc
     if not rows or [cell.strip() for cell in rows[0]] != ["r", "theta", "re", "im"]:
         raise CLIError(f"{path}: line 1: expected header r,theta,re,im")
-    table: dict[tuple[float, float], complex] = {}
+    table: dict[tuple[float, float], tuple[int, complex]] = {}
     for line_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -159,11 +157,20 @@ def _load_grid_csv(path: str) -> GridSample:
             if not math.isfinite(value):
                 raise CLIError(f"{path}: line {line_no}: {name} is not finite ({value})")
         r, theta, re_part, im_part = fields
-        table[(r, theta)] = complex(re_part, im_part)
+        if (r, theta) in table:
+            raise CLIError(
+                f"{path}: line {line_no}: repeats the node r={r}, theta={theta} "
+                f"of line {table[(r, theta)][0]}"
+            )
+        table[(r, theta)] = line_no, complex(re_part, im_part)
     if not table:
         raise CLIError(f"{path}: no data rows")
     r_nodes = sorted({key[0] for key in table})
     theta_nodes = sorted({key[1] for key in table})
+    import numpy as np
+
+    from .transform import GridSample
+
     values = np.empty((len(r_nodes), len(theta_nodes)), dtype=complex)
     for i, r in enumerate(r_nodes):
         for j, theta in enumerate(theta_nodes):
@@ -171,7 +178,7 @@ def _load_grid_csv(path: str) -> GridSample:
                 raise CLIError(
                     f"{path}: grid is not a full rectangle; missing r={r}, theta={theta}"
                 )
-            values[i, j] = table[(r, theta)]
+            values[i, j] = table[(r, theta)][1]
     try:
         return GridSample(
             radial_nodes=np.array(r_nodes),
@@ -193,6 +200,10 @@ def _resolve_input(spec: str) -> tuple[Callable[[float, float], complex], str]:
     resampled by bilinear interpolation.  Every one takes floats or
     broadcasting arrays, so it is sampled in one call per grid.
     """
+    import numpy as np
+
+    from .transform import basis_function, grid_interpolant
+
     if spec.startswith("builtin:"):
         name = spec[len("builtin:"):]
         if name == "one":
@@ -213,7 +224,7 @@ def _grid_rows(sample_r, sample_theta, values) -> list[list[str]]:
     """CSV rows r,theta,re,im; each node coordinate is formatted once."""
     theta_text = [format_float(theta) for theta in sample_theta]
     rows = [["r", "theta", "re", "im"]]
-    for r, row in zip(sample_r, np.asarray(values).tolist()):
+    for r, row in zip(sample_r, values.tolist()):
         r_text = format_float(r)
         rows += [
             [r_text, theta, format_float(value.real), format_float(value.imag)]
@@ -228,6 +239,10 @@ def _grid_rows(sample_r, sample_theta, values) -> list[list[str]]:
 def cmd_eval(args: argparse.Namespace) -> int:
     idx = _parse_index(args.p, args.q)
     n_radial, n_angular = _parse_grid_spec(args.grid)
+    import numpy as np
+
+    from .transform import polar_grid
+
     r, theta = polar_grid(n_radial, n_angular)
     form = jacobi_form(idx)
     values = np.outer(
@@ -253,10 +268,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Limits on work; a larger size exits 2 naming its limit before any float
+#: layer is imported.  Values and the cold time and memory at each limit:
+#: README, Performance.
 #: Largest p + q that ``table`` prints and largest ``verify`` truncation;
-#: the exact work grows about cubically in p + q (README, Performance).
+#: the exact work grows about cubically in p + q.
 MAX_TABLE_SUM = 1000
 MAX_VERIFY_SUM = 64
+#: Largest ``expand``/``solve --trunc``.
+MAX_TRUNC = 128
+#: Largest ``gram N``: its matrix holds (N(N-1)/2)^2 float64 entries, 32 MB
+#: at 64, and its output rows take several times that.
+MAX_GRAM_SUM = 64
+#: Most cells of an ``eval --grid`` or ``expand``/``solve --grid`` output.
+MAX_GRID_CELLS = 512 * 512
+#: Largest m + n for ``moments m n``: the angular constant's (2(m+n))!!
+#: overflows a double beyond it.
+MAX_MOMENT_SUM = 150
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -279,6 +307,8 @@ _VERIFY_RADIUS_DEN = 11
 
 def _sign_mismatch(idx: PQIndex) -> float:
     """Scaled deviation of the factored route from the exact polynomial."""
+    import numpy as np
+
     numerators, den = rodrigues_profile(idx).numerators_at(_VERIFY_RADII, _VERIFY_RADIUS_DEN)
     exact = np.array([num / den for num in numerators])
     approx = jacobi_form(idx).radial_value(np.array(_VERIFY_RADII) / _VERIFY_RADIUS_DEN)
@@ -291,6 +321,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CLIError("max_sum must be >= 2")
     if args.max_sum > MAX_VERIFY_SUM:
         raise CLIError(f"max_sum must be <= {MAX_VERIFY_SUM} (limit on exact work)")
+    from .quadrature import gram
+
     indices = basis_indices(args.max_sum)
 
     route_bad = [i for i in indices if rodrigues(i) != radial_sum(i)]
@@ -360,6 +392,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_gram(args: argparse.Namespace) -> int:
     if args.max_sum < 2:
         raise CLIError("max_sum must be >= 2")
+    if args.max_sum > MAX_GRAM_SUM:
+        raise CLIError(f"max_sum must be <= {MAX_GRAM_SUM} (limit on float work)")
+    from .quadrature import gram
+
     indices = basis_indices(args.max_sum)
     matrix = gram(indices)
     labels = [f"{idx.p},{idx.q}" for idx in indices]
@@ -382,25 +418,29 @@ def cmd_gram(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_eps_ladder(spec: Optional[str]) -> tuple[float, ...]:
-    if spec is None:
-        return DEFAULT_EPS_LADDER
+def _parse_eps_ladder(spec: str) -> tuple[float, ...]:
+    """Cutoffs for ``--eps-ladder``: at least two distinct, each a normal
+    double below 1, so 1/eps stays finite and the slope is determined."""
     try:
         values = tuple(float(part) for part in spec.split(",") if part.strip())
     except ValueError as exc:
         raise CLIError(f"bad --eps-ladder: {exc}") from exc
-    if not values:
-        raise CLIError("--eps-ladder must list at least one value")
-    if any(not 0.0 < eps < 1.0 for eps in values):
-        raise CLIError("--eps-ladder values must lie in (0, 1)")
+    if any(not sys.float_info.min <= eps < 1.0 for eps in values):
+        raise CLIError(f"--eps-ladder values must lie in [{sys.float_info.min!r}, 1)")
+    if len(set(values)) < 2:
+        raise CLIError("--eps-ladder must list at least two distinct cutoffs")
     return values
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
     if args.m < 0 or args.n < 0:
         raise CLIError("moment exponents must be nonnegative")
-    ladder = _parse_eps_ladder(args.eps_ladder)
-    estimate = moment_ladder(args.m, args.n, ladder)
+    if args.m + args.n > MAX_MOMENT_SUM:
+        raise CLIError(f"m + n must be <= {MAX_MOMENT_SUM} (limit on float range)")
+    ladder = None if args.eps_ladder is None else _parse_eps_ladder(args.eps_ladder)
+    from .quadrature import DEFAULT_EPS_LADDER, moment_ladder, moment_slope
+
+    estimate = moment_ladder(args.m, args.n, ladder or DEFAULT_EPS_LADDER)
     slope = moment_slope(estimate)
     out = args.out or f"moments_{args.m}_{args.n}.{args.format}"
     if args.format == "csv":
@@ -444,11 +484,21 @@ def _write_table(out: str, fmt: str, payload: dict, table: ExpansionTable) -> No
         _write_text(out, render_json(payload) + "\n")
 
 
-def _maybe_write_grid(args: argparse.Namespace, out: str, table: ExpansionTable) -> None:
-    if not args.grid:
+def _expansion_grid(args: argparse.Namespace) -> Optional[tuple[int, int]]:
+    """Check ``--trunc`` and parse ``--grid`` of expand and solve up front."""
+    if args.trunc < 2:
+        raise CLIError("--trunc must be >= 2")
+    if args.trunc > MAX_TRUNC:
+        raise CLIError(f"--trunc must be <= {MAX_TRUNC} (limit on float work)")
+    return _parse_grid_spec(args.grid) if args.grid else None
+
+
+def _maybe_write_grid(grid: Optional[tuple[int, int]], out: str, table: ExpansionTable) -> None:
+    if grid is None:
         return
-    n_radial, n_angular = _parse_grid_spec(args.grid)
-    r, theta = polar_grid(n_radial, n_angular)
+    from .transform import polar_grid, reconstruct
+
+    r, theta = polar_grid(*grid)
     sample = reconstruct(table, r, theta)
     grid_out = re.sub(r"\.[^.]*$", "", out) + "_grid.csv"
     _write_csv(grid_out, _grid_rows(r, theta, sample.values))
@@ -456,8 +506,9 @@ def _maybe_write_grid(args: argparse.Namespace, out: str, table: ExpansionTable)
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    if args.trunc < 2:
-        raise CLIError("--trunc must be >= 2")
+    grid = _expansion_grid(args)
+    from .transform import boundary_value_check, expand, expansion_residual
+
     f, label = _resolve_input(args.input)
     table = expand(f, args.trunc)
     residual = expansion_residual(f, table)
@@ -471,13 +522,14 @@ def cmd_expand(args: argparse.Namespace) -> int:
     }
     _write_table(out, args.format, payload, table)
     print(f"wrote {out}; L2 residual {format_float(residual)}")
-    _maybe_write_grid(args, out, table)
+    _maybe_write_grid(grid, out, table)
     return 0
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.trunc < 2:
-        raise CLIError("--trunc must be >= 2")
+    grid = _expansion_grid(args)
+    from .transform import boundary_value_check, solve_weighted_poisson
+
     f, label = _resolve_input(args.input)
     table = solve_weighted_poisson(f, args.trunc)
     out = args.out or ("solution.json" if args.format == "json" else "solution.csv")
@@ -489,7 +541,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
     _write_table(out, args.format, payload, table)
     print(f"wrote {out}")
-    _maybe_write_grid(args, out, table)
+    _maybe_write_grid(grid, out, table)
     return 0
 
 
@@ -574,7 +626,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SignValidationError, ConvergenceError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:
+        # ConvergenceError is raised only inside jacobi, so it is loaded by then
+        from .jacobi import ConvergenceError
+
+        if not isinstance(exc, (SignValidationError, ConvergenceError, ArithmeticError)):
+            raise
         print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -258,8 +258,11 @@ def moment_slope(estimate: MomentEstimate) -> float:
 
     For (m, n) = (0, 0) the truncated moment is -pi ln(2 eps - eps^2),
     so the slope tends to pi; positive slope witnesses divergence for
-    every exponent pair.
+    every exponent pair.  Raises ValueError for fewer than two distinct
+    cutoffs, where no slope is determined.
     """
+    if len(set(estimate.cutoffs)) < 2:
+        raise ValueError("moment_slope needs at least two distinct cutoffs")
     x = np.log(1.0 / np.asarray(estimate.cutoffs))
     y = np.asarray(estimate.values)
     return float(np.polyfit(x, y, 1)[0])

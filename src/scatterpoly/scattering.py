@@ -31,6 +31,12 @@ the Rodrigues route itself lives in the ``verify`` command and the tests.
 The polynomials vanish on the unit circle, carry the pure angular mode
 e^(i(q-p) theta), and satisfy (1 - z*zbar) d2/dz dzbar phi = -pq phi,
 all of which is checkable exactly.
+
+Import boundary: the exact half of this module (:func:`rodrigues`,
+:func:`radial_sum`, :func:`eigencheck`, the index helpers) needs neither
+numpy nor :mod:`scatterpoly.jacobi`.  Only the float members import them,
+when called: the :class:`RadialForm` methods, :func:`jacobi_form` and
+:func:`mode_kernels`.
 """
 
 from __future__ import annotations
@@ -42,14 +48,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-import numpy as np
-
-from .jacobi import JacobiParams, jacobi_eval, jacobi_table
 from .poly_algebra import BOUNDARY_FACTOR, BivariatePoly, WProfile
 
-ArrayLike = Union[float, np.ndarray]
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .jacobi import JacobiParams
+
+    ArrayLike = Union[float, np.ndarray]
 
 #: Dyadic grid denominator for construction-time validation radii.
 _RADIUS_DEN = 1024
@@ -109,6 +117,8 @@ class RadialForm:
 
     @property
     def params(self) -> JacobiParams:
+        from .jacobi import JacobiParams
+
         return JacobiParams(alpha=1, beta=self.m, degree=self.nu)
 
     def radial_kernel(self, r: ArrayLike) -> ArrayLike:
@@ -117,17 +127,25 @@ class RadialForm:
         This is the quantity to integrate against when the measure carries
         1/(1 - r^2): the singular factor has been cancelled analytically.
         """
+        import numpy as np
+
+        from .jacobi import jacobi_eval
+
         rv = np.asarray(r, dtype=float)
         out = self.coeff * rv**self.m * jacobi_eval(self.params, 2.0 * rv * rv - 1.0)
         return float(out) if np.ndim(r) == 0 else out
 
     def radial_value(self, r: ArrayLike) -> ArrayLike:
+        import numpy as np
+
         rv = np.asarray(r, dtype=float)
         out = (1.0 - rv * rv) * self.radial_kernel(rv)
         return float(out) if np.ndim(r) == 0 else out
 
     def value(self, r: ArrayLike, theta: ArrayLike) -> ArrayLike:
         """phi^(p,q) at polar (r, theta)."""
+        import numpy as np
+
         phase = np.exp(1j * self.angular_frequency * np.asarray(theta, dtype=float))
         out = self.radial_value(r) * phase
         return complex(out) if np.ndim(out) == 0 else out
@@ -257,6 +275,8 @@ def jacobi_form(idx: PQIndex) -> RadialForm:
     profile's scale raises :class:`SignValidationError`, which would mean
     a genuine bug rather than a convention issue.
     """
+    import numpy as np
+
     sign = (-1) ** (idx.q + 1)
     magnitude = max(idx.p, idx.q) / idx.q
     form = RadialForm(
@@ -290,6 +310,10 @@ def mode_kernels(
     The prefactors come from :func:`jacobi_form`, so every member passes
     its construction-time check.
     """
+    import numpy as np
+
+    from .jacobi import jacobi_table
+
     r = np.asarray(r, dtype=float)
     modes: dict[int, list[int]] = defaultdict(list)
     for position, idx in enumerate(indices):

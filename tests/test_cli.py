@@ -4,14 +4,19 @@ import csv
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from scatterpoly import jacobi, quadrature, scattering
+from scatterpoly import jacobi, quadrature, scattering, transform
 from scatterpoly.cli import (
+    MAX_GRAM_SUM,
+    MAX_GRID_CELLS,
+    MAX_MOMENT_SUM,
     MAX_TABLE_SUM,
+    MAX_TRUNC,
     MAX_VERIFY_SUM,
     NonFiniteOutputError,
     _grid_rows,
@@ -95,6 +100,12 @@ class TestFormatting:
     def test_render_json_rejects_unknown(self):
         with pytest.raises(TypeError):
             render_json({"a": object()})
+
+    def test_render_json_numpy_scalars_as_python_values(self):
+        values = [np.bool_(True), np.int64(-3), np.float32(0.5), np.float64(-0.0)]
+        assert render_json(values) == render_json([True, -3, 0.5, 0.0])
+        with pytest.raises(NonFiniteOutputError):
+            render_json([np.float32("nan")])
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_render_json_rejects_non_finite(self, value):
@@ -264,9 +275,22 @@ class TestMoments:
     def test_rejects_negative_exponent(self, capsys):
         assert main(["moments", "--", "-1", "0"]) == 2
 
-    @pytest.mark.parametrize("ladder", ["", "0.5,foo", "2.0", "0"])
+    @pytest.mark.parametrize(
+        "ladder", ["", "0.5,foo", "2.0", "0", "1e-3", "1e-3,1e-3", "1e-320", "1e-3,1e-320"]
+    )
     def test_rejects_bad_ladder(self, ladder, capsys):
         assert main(["moments", "0", "0", "--eps-ladder", ladder]) == 2
+
+    @pytest.mark.parametrize(
+        "ladder,rule",
+        [("1e-3", "two distinct"), ("1e-3,1e-3", "two distinct"),
+         ("1e-3,1e-320", repr(sys.float_info.min))],
+    )
+    def test_ladder_error_names_the_rule(self, ladder, rule, capsys):
+        assert main(["moments", "0", "0", "--eps-ladder", ladder]) == 2
+        err = capsys.readouterr().err
+        assert "--eps-ladder" in err and rule in err
+        assert os.listdir() == []
 
 
 class TestExpand:
@@ -420,6 +444,14 @@ class TestGridFileErrors:
         assert main(["expand", "bad.csv"]) == 2
         assert "no data rows" in capsys.readouterr().err
 
+    def test_repeated_node(self, capsys):
+        with open("bad.csv", "w") as fh:
+            fh.write("r,theta,re,im\n0.1,0.0,1,0\n0.1,0.0,5,0\n")
+        assert main(["expand", "bad.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "bad.csv: line 3" in err and "line 2" in err
+        assert os.listdir() == ["bad.csv"]
+
     def test_missing_file(self, capsys):
         assert main(["expand", "nope.csv"]) == 2
         assert "cannot read" in capsys.readouterr().err
@@ -436,6 +468,64 @@ class TestGridFileErrors:
         err = capsys.readouterr().err
         assert "bad.csv: line 3" in err and f"{field} is not finite" in err
         assert os.listdir() == ["bad.csv"]
+
+
+class Reached(Exception):
+    """Raised by a stub standing in for the float work a command starts."""
+
+
+def reach(*args, **kwargs):
+    raise Reached
+
+
+class TestLimitsOnFloatWork:
+    """At each limit the command gets to its float work; above it, exit 2
+    naming the limit, with no file written."""
+
+    def assert_refused(self, capsys, argv, limit):
+        assert main(argv) == 2
+        assert str(limit) in capsys.readouterr().err
+        assert os.listdir() == []
+
+    def test_gram(self, capsys, monkeypatch):
+        monkeypatch.setattr(quadrature, "gram", reach)
+        with pytest.raises(Reached):
+            main(["gram", str(MAX_GRAM_SUM)])
+        self.assert_refused(capsys, ["gram", str(MAX_GRAM_SUM + 1)], MAX_GRAM_SUM)
+
+    @pytest.mark.parametrize(
+        "command,work", [("expand", "expand"), ("solve", "solve_weighted_poisson")]
+    )
+    def test_truncation(self, command, work, capsys, monkeypatch):
+        monkeypatch.setattr(transform, work, reach)
+        with pytest.raises(Reached):
+            main([command, "builtin:one", "--trunc", str(MAX_TRUNC), "--grid", "2x2"])
+        self.assert_refused(capsys, [command, "builtin:one", "--trunc", str(MAX_TRUNC + 1)], MAX_TRUNC)
+
+    @pytest.mark.parametrize("command", ["eval", "expand", "solve"])
+    @pytest.mark.parametrize("n_angular", [512, MAX_GRID_CELLS // 2])
+    def test_grid_cells(self, command, n_angular, capsys, monkeypatch):
+        at = f"{MAX_GRID_CELLS // n_angular}x{n_angular}"
+        assert MAX_GRID_CELLS % n_angular == 0
+        # a grid of exactly one cell more, from the smallest factor of that count
+        d = next(d for d in range(2, MAX_GRID_CELLS) if (MAX_GRID_CELLS + 1) % d == 0)
+        above = f"{d}x{(MAX_GRID_CELLS + 1) // d}"
+        monkeypatch.setattr(transform, "polar_grid", reach)
+        monkeypatch.setattr(transform, "expand", reach)
+        monkeypatch.setattr(transform, "solve_weighted_poisson", reach)
+        head = ["eval", "1", "1"] if command == "eval" else [command, "builtin:one"]
+        with pytest.raises(Reached):
+            main(head + ["--grid", at])
+        self.assert_refused(capsys, head + ["--grid", above], MAX_GRID_CELLS)
+
+    @pytest.mark.parametrize("m", [0, MAX_MOMENT_SUM // 2, MAX_MOMENT_SUM])
+    def test_moments(self, m, capsys):
+        n = MAX_MOMENT_SUM - m
+        assert main(["moments", str(m), str(n), "--format", "json", "--out", "m.json"]) == 0
+        assert all(entry["value"] > 0 for entry in read_json("m.json")["ladder"])
+        os.remove("m.json")
+        capsys.readouterr()
+        self.assert_refused(capsys, ["moments", str(m), str(n + 1)], MAX_MOMENT_SUM)
 
 
 class TestParser:
@@ -486,7 +576,7 @@ class TestInternalFailures:
         assert not os.path.exists("moments_1_0.csv")
 
     def test_non_finite_result_writes_no_file(self, capsys, monkeypatch):
-        monkeypatch.setattr("scatterpoly.cli.expansion_residual", lambda f, table: math.nan)
+        monkeypatch.setattr("scatterpoly.transform.expansion_residual", lambda f, table: math.nan)
         self.assert_one_line_failure(
             capsys, ["expand", "builtin:phi_1_1", "--trunc", "4"], "NonFiniteOutputError"
         )

@@ -204,6 +204,11 @@ class TestTruncatedMoment:
     def test_slope_positive_for_1_0(self):
         assert moment_slope(moment_ladder(1, 0)) > 0
 
+    @pytest.mark.parametrize("cutoffs", [(1e-3,), (1e-3, 1e-3)])
+    def test_slope_needs_two_distinct_cutoffs(self, cutoffs):
+        with pytest.raises(ValueError, match="two distinct cutoffs"):
+            moment_slope(moment_ladder(0, 0, cutoffs))
+
     def test_estimate_fields(self):
         estimate = moment_ladder(1, 2, (1e-2, 1e-4, 1e-3))
         assert isinstance(estimate, MomentEstimate)

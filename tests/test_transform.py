@@ -4,9 +4,12 @@ import cmath
 import math
 import random
 from bisect import bisect_left
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scatterpoly.jacobi import gauss_legendre
 from scatterpoly.poly_algebra import BivariatePoly
@@ -47,6 +50,15 @@ def random_table(rng: random.Random, truncation: int) -> ExpansionTable:
         for idx in basis_indices(truncation)
     }
     return ExpansionTable(coefficients=coefficients, truncation=truncation)
+
+
+@st.composite
+def in_span_tables(draw, max_truncation: int = 10) -> ExpansionTable:
+    truncation = draw(st.integers(2, max_truncation))
+    indices = basis_indices(truncation)
+    coefficient = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(coefficient, min_size=len(indices), max_size=len(indices)))
+    return ExpansionTable(coefficients=dict(zip(indices, values)), truncation=truncation)
 
 
 class TestExpansionTable:
@@ -143,6 +155,18 @@ class TestReconstruct:
         again = expand(table_as_function(table), 6)
         for idx in basis_indices(6):
             assert abs(again.coefficient(idx) - table.coefficient(idx)) < 1e-9
+
+
+    @given(in_span_tables())
+    @settings(max_examples=25, deadline=timedelta(seconds=2))
+    def test_expand_inverts_synthesis(self, table):
+        # the float synthesis as a disk function, sampled on expand's tensor grid
+        def synthesis(r, theta):
+            return reconstruct(table, np.ravel(r), np.ravel(theta)).values
+
+        again = expand(synthesis, table.truncation)
+        for idx in basis_indices(table.truncation):
+            assert abs(again.coefficient(idx) - table.coefficient(idx)) <= 1e-12
 
 
 class TestParseval:
