@@ -34,6 +34,7 @@ from .scattering import (
     basis_indices,
     eigencheck,
     jacobi_form,
+    mode_kernels,
     norm_sq,
     radial_sum,
     rodrigues,
@@ -285,6 +286,9 @@ MAX_GRID_CELLS = 512 * 512
 #: Largest m + n for ``moments m n``: the angular constant's (2(m+n))!!
 #: overflows a double beyond it.
 MAX_MOMENT_SUM = 150
+#: ``expand`` reports a divergent residual, not a number, for a target whose
+#: largest |f| on 256 points of the rim exceeds this.
+RIM_TOLERANCE = 1e-6
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -305,15 +309,22 @@ _VERIFY_RADII = range(1, 11)
 _VERIFY_RADIUS_DEN = 11
 
 
-def _sign_mismatch(idx: PQIndex) -> float:
-    """Scaled deviation of the factored route from the exact polynomial."""
+def _sign_mismatches(indices: Sequence[PQIndex]) -> list[float]:
+    """Scaled deviation of the factored route from the exact polynomial,
+    per index, with every factored value from one :func:`mode_kernels` call."""
     import numpy as np
 
-    numerators, den = rodrigues_profile(idx).numerators_at(_VERIFY_RADII, _VERIFY_RADIUS_DEN)
-    exact = np.array([num / den for num in numerators])
-    approx = jacobi_form(idx).radial_value(np.array(_VERIFY_RADII) / _VERIFY_RADIUS_DEN)
-    scale = max(1.0, float(np.max(np.abs(exact))))
-    return float(np.max(np.abs(approx - exact))) / scale
+    r = np.array(_VERIFY_RADII) / _VERIFY_RADIUS_DEN
+    out = [0.0] * len(indices)
+    for _, positions, kernel in mode_kernels(indices, r):
+        approx = (1.0 - r * r)[:, None] * kernel
+        for column, k in enumerate(positions):
+            profile = rodrigues_profile(indices[k])
+            numerators, den = profile.numerators_at(_VERIFY_RADII, _VERIFY_RADIUS_DEN)
+            exact = np.array([num / den for num in numerators])
+            scale = max(1.0, float(np.max(np.abs(exact))))
+            out[k] = float(np.max(np.abs(approx[:, column] - exact))) / scale
+    return out
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -336,10 +347,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     sign_table = []
     worst_mismatch = 0.0
-    for idx in indices:
+    for idx, mismatch in zip(indices, _sign_mismatches(indices)):
         entry = sign_resolution(idx)
-        entry["mismatch"] = _sign_mismatch(idx)
-        worst_mismatch = max(worst_mismatch, entry["mismatch"])
+        entry["mismatch"] = mismatch
+        worst_mismatch = max(worst_mismatch, mismatch)
         sign_table.append(entry)
     sign_ok = worst_mismatch <= 1e-12
 
@@ -507,21 +518,27 @@ def _maybe_write_grid(grid: Optional[tuple[int, int]], out: str, table: Expansio
 
 def cmd_expand(args: argparse.Namespace) -> int:
     grid = _expansion_grid(args)
-    from .transform import boundary_value_check, expand, expansion_residual
+    from .transform import boundary_value_check, expand, expansion_residual, rim_amplitude
 
     f, label = _resolve_input(args.input)
     table = expand(f, args.trunc)
-    residual = expansion_residual(f, table)
     out = args.out or ("expansion.json" if args.format == "json" else "expansion.csv")
     payload = {
         "input": label,
         "truncation": args.trunc,
         "coefficients": _coefficient_records(table),
-        "l2_residual": residual,
-        "boundary_max": boundary_value_check(table, 256),
     }
+    rim = rim_amplitude(f, 256)
+    if rim > RIM_TOLERANCE:
+        # the weighted norm of f - partial sum is infinite; print no number for it
+        payload.update(l2_residual=None, l2_residual_divergent=True, rim_amplitude=rim)
+        summary = f"L2 residual divergent (rim amplitude {format_float(rim)})"
+    else:
+        payload["l2_residual"] = expansion_residual(f, table)
+        summary = f"L2 residual {format_float(payload['l2_residual'])}"
+    payload["boundary_max"] = boundary_value_check(table, 256)
     _write_table(out, args.format, payload, table)
-    print(f"wrote {out}; L2 residual {format_float(residual)}")
+    print(f"wrote {out}; {summary}")
     _maybe_write_grid(grid, out, table)
     return 0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -45,34 +45,71 @@ class JacobiParams:
             raise ValueError("degree must be nonnegative")
 
 
-def jacobi_table(m: int, max_degree: int, x: ArrayLike) -> np.ndarray:
+def jacobi_table(m: Union[int, Sequence[int]], max_degree: int, x: ArrayLike) -> np.ndarray:
     """Every P_nu^(1,m)(x) for nu = 0 .. max_degree, in one recurrence pass.
 
-    Returns an array of shape x.shape + (max_degree + 1,) whose last axis
-    is the degree.  Seeds are P_0 = 1 and P_1 = (alpha+1) +
-    (alpha+beta+2)(x-1)/2 with alpha = 1, beta = m; the angular modes of
-    the disk basis each need one such table.
+    ``m`` is one angular power or a sequence of them; every m runs in the
+    same pass.  Returns an array of shape x.shape + shape(m) +
+    (max_degree + 1,) whose last axis is the degree.  Seeds are P_0 = 1
+    and P_1 = (alpha+1) + (alpha+beta+2)(x-1)/2 with alpha = 1, beta = m.
+    The recurrence coefficients are integers, formed exactly in float64
+    while s = 2 nu + 1 + m stays below 2^17 (docs/math_notes.md section
+    7), so each m's values are bit for bit those of a pass with that m
+    alone.
     """
-    if m < 0 or max_degree < 0:
+    b = np.asarray(m, dtype=float)
+    if max_degree < 0 or (b.size and b.min() < 0):
         raise ValueError("m and max_degree must be nonnegative")
-    a, b = 1, m
-    xv = np.asarray(x, dtype=float)
-    out = np.empty(xv.shape + (max_degree + 1,))
-    prev = np.ones_like(xv)
-    out[..., 0] = prev
-    if max_degree == 0:
-        return out
-    curr = (a + 1) + (a + b + 2) * (xv - 1.0) / 2.0
-    out[..., 1] = curr
-    for k in range(2, max_degree + 1):
-        s = 2 * k + a + b
-        c_norm = 2 * k * (k + a + b) * (s - 2)
-        c_x = (s - 1) * s * (s - 2)
-        c_const = (s - 1) * (a * a - b * b)
-        c_prev = 2 * (k + a - 1) * (k + b - 1) * s
-        prev, curr = curr, ((c_const + c_x * xv) * curr - c_prev * prev) / c_norm
-        out[..., k] = curr
-    return out
+    a = 1
+    shape = np.shape(x) + b.shape
+    xv = np.asarray(x, dtype=float).reshape(np.shape(x) + (1,) * b.ndim)
+    # degree-major storage: each step writes one contiguous slab
+    out = np.empty((max_degree + 1,) + shape)
+    out[0] = 1.0
+    if max_degree >= 1:
+        out[1] = (a + 1) + (a + b + 2) * (xv - 1.0) / 2.0
+    # the integer coefficients of every step k >= 2 at once, one row per step
+    k = np.arange(2.0, max_degree + 1).reshape((-1,) + (1,) * b.ndim)
+    s = 2 * k + a + b
+    c_x = (s - 1) * s * (s - 2)
+    c_const = (s - 1) * (a * a - b * b)
+    c_prev = 2 * (k + a - 1) * (k + b - 1) * s
+    c_norm = 2 * k * (k + a + b) * (s - 2)
+    rows = [out[i, ...] for i in range(max_degree + 1)]
+    step, prev_term = np.empty(shape), np.empty(shape)
+    for i, (cx, cc, cp, cn) in enumerate(zip(c_x, c_const, c_prev, c_norm)):
+        # ((c_const + c_x x) P_(k-1) - c_prev P_(k-2)) / c_norm in reused buffers
+        np.multiply(cx, xv, out=step)
+        step += cc
+        step *= rows[i + 1]
+        np.multiply(cp, rows[i], out=prev_term)
+        step -= prev_term
+        np.divide(step, cn, out=rows[i + 2])
+    return np.moveaxis(out, 0, -1)
+
+
+def radial_kernels(
+    groups: Sequence[tuple[int, Sequence[int], Sequence[float]]], r: np.ndarray
+) -> Iterator[np.ndarray]:
+    """c * r^m * P_nu^(1,m)(2 r^2 - 1) for groups of columns (m, nus, cs).
+
+    Runs one :func:`jacobi_table` pass over the groups' distinct m, then
+    yields one array of shape r.shape + (len(nus),) per group as it is
+    iterated, so only one group's array exists next to the table.  Each
+    r^m takes a scalar exponent and is applied as (c * r^m) * P, the order
+    of a one-column call, so a column has the same bits in any batch.
+    """
+    ms = sorted({m for m, _, _ in groups})
+    max_nu = max((nu for _, nus, _ in groups for nu in nus), default=0)
+    table = jacobi_table(ms, max_nu, 2.0 * r * r - 1.0)
+    slot = {m: (j, r**m) for j, m in enumerate(ms)}
+
+    def kernel(group: tuple[int, Sequence[int], Sequence[float]]) -> np.ndarray:
+        m, nus, cs = group
+        j, power = slot[m]
+        return np.asarray(cs, dtype=float) * power[..., None] * table[..., j, nus]
+
+    return map(kernel, groups)
 
 
 def jacobi_eval(params: JacobiParams, x: ArrayLike) -> ArrayLike:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from operator import mul, sub
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -327,13 +328,15 @@ class WProfile:
         """
         top = max(len(self.coeffs) - 1, 0)
         den_sq = radius_den * radius_den
-        weights = [ck * den_sq ** (top - k) for k, ck in enumerate(self.coeffs)]
+        # c_k den_sq^(top - k) from k = top down, the powers as one running product
+        powers = accumulate(repeat(den_sq), mul, initial=1)
+        weights = list(map(mul, reversed(self.coeffs), powers))
         m = abs(self.n)
         numerators = []
         for a in radii:
             a_sq = a * a
             acc = 0
-            for weight in reversed(weights):
+            for weight in weights:
                 acc = acc * a_sq + weight
             numerators.append(a**m * acc)
         return numerators, self.den * radius_den ** (2 * top + m)

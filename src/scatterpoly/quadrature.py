@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .jacobi import gauss_legendre, jacobi_eval
+from .jacobi import gauss_legendre
 from .poly_algebra import BivariatePoly, ComplexRational
 from .scattering import PQIndex, jacobi_form, mode_kernels
 
@@ -47,8 +47,11 @@ class GramMatrix:
     entries: np.ndarray
 
     def max_off_diagonal(self) -> float:
-        off = self.entries - np.diag(np.diag(self.entries))
-        return float(np.max(np.abs(off))) if len(self.indices) > 1 else 0.0
+        if len(self.indices) < 2:
+            return 0.0
+        off = np.abs(self.entries)
+        np.fill_diagonal(off, 0.0)
+        return float(np.max(off))
 
 
 @dataclass(frozen=True)
@@ -70,25 +73,20 @@ def inner_product_basis(a: PQIndex, b: PQIndex, order: Optional[int] = None) -> 
         (pi/2) * c_a * c_b * integral du ((1-u)/2) ((1+u)/2)^m
                                      P_(nu_a)(u) P_(nu_b)(u)
 
-    which a Gauss-Legendre rule of order (p_a+q_a+p_b+q_b)/2 + 2 (the
-    default) integrates exactly; pass a larger ``order`` to confirm.
+    with the product of the two radial kernels at r = sqrt((1+u)/2) as
+    c_a c_b ((1+u)/2)^m P_(nu_a) P_(nu_b).  A Gauss-Legendre rule of order
+    (p_a+q_a+p_b+q_b)/2 + 2 (the default) integrates it exactly; pass a
+    larger ``order`` to confirm.
     """
     if a.angular_frequency != b.angular_frequency:
         return 0j
-    fa, fb = jacobi_form(a), jacobi_form(b)
-    m = fa.m
     if order is None:
         order = (a.p + a.q + b.p + b.q + 1) // 2 + 2
     rule = gauss_legendre(order)
     u = rule.nodes
-    integrand = (
-        ((1.0 - u) / 2.0)
-        * ((1.0 + u) / 2.0) ** m
-        * jacobi_eval(fa.params, u)
-        * jacobi_eval(fb.params, u)
-    )
-    value = (math.pi / 2.0) * fa.coeff * fb.coeff * float(rule.weights @ integrand)
-    return complex(value)
+    r = np.sqrt((1.0 + u) / 2.0)
+    kernels = jacobi_form(a).radial_kernel(r) * jacobi_form(b).radial_kernel(r)
+    return complex((math.pi / 2.0) * float(rule.weights @ ((1.0 - u) / 2.0 * kernels)))
 
 
 def gram(indices: Sequence[PQIndex]) -> GramMatrix:

@@ -1,61 +1,46 @@
 """The eigenbasis of the weighted disk: construction and verification.
 
-Each index pair (p, q) with min{p,q} >= 1 owns one polynomial phi^(p,q),
-produced here by three independent routes that must agree:
+Each index pair (p, q) with min{p,q} >= 1 owns one polynomial phi^(p,q).
+It vanishes on the unit circle, carries the single angular mode
+e^(i n theta) with n = q - p, and satisfies (1 - z*zbar) d2/dz dzbar phi
+= -pq phi.  Three independent routes build it:
 
-* :func:`rodrigues` applies p + q Wirtinger derivatives to a power of
-  (1 - z*zbar) and rescales; exact throughout.
-* :func:`radial_sum` writes the same polynomial as an explicit binomial
-  coefficient sum; also exact, sharing no differentiation code.
-* :func:`jacobi_form` factors the polynomial as
-  coeff * (1 - r^2) * r^m * P_nu^(1,m)(2 r^2 - 1) * e^(i n theta)
-  and is the fast route for pointwise evaluation.
+* :func:`rodrigues` differentiates a power of (1 - z*zbar) p + q times;
+* :func:`radial_sum` writes it as an explicit binomial coefficient sum;
+* :func:`jacobi_form` factors it as coeff * (1 - r^2) * r^|n| *
+  P_nu^(1,|n|)(2 r^2 - 1) * e^(i n theta), the fast float route.
 
-Every phi^(p,q) has the single angular frequency n = q - p and real
-rational coefficients, so both exact routes work on the integer
-w-profile of :class:`~scatterpoly.poly_algebra.WProfile`: integer
-coefficients in w = z*zbar over one common denominator
-(docs/math_notes.md section 8).  :func:`rodrigues_profile` differentiates
-that integer vector, :func:`eigencheck` checks the eigenrelation on it, and
-each route becomes a :class:`BivariatePoly` only once, at the end.
+Both exact routes work on integer w-profiles
+(:class:`~scatterpoly.poly_algebra.WProfile`, docs/math_notes.md
+section 8) and become a :class:`BivariatePoly` only at the end.  The
+factored route takes its prefactor (-1)^(q+1) max{p,q}/q from the closed
+form of math_notes section 2.1; the printed rule (-1)^(q + max{p,q}) is
+wrong whenever max{p,q} is even.  Every form is checked once, a mode at a
+time, against the binomial sum evaluated exactly in integers, so the
+float routes never build a Rodrigues polynomial; ``verify`` and the tests
+compare the forms with the Rodrigues route itself.
 
-Two sign conventions circulate for the factored route's prefactor:
-(-1)^(q + max{p,q}) and (-1)^(q+1).  They disagree whenever max{p,q} is
-even.  docs/math_notes.md section 2.1 derives coeff = (-1)^(q+1) *
-max{p,q} / q, and jacobi_form takes the prefactor from that closed form.
-It still checks every form at construction time, against the binomial
-sum evaluated exactly in Python integers (:func:`radial_sum_values`), so
-the float routes never build a Rodrigues polynomial.  The comparison with
-the Rodrigues route itself lives in the ``verify`` command and the tests.
-
-The polynomials vanish on the unit circle, carry the pure angular mode
-e^(i(q-p) theta), and satisfy (1 - z*zbar) d2/dz dzbar phi = -pq phi,
-all of which is checkable exactly.
-
-Import boundary: the exact half of this module (:func:`rodrigues`,
-:func:`radial_sum`, :func:`eigencheck`, the index helpers) needs neither
-numpy nor :mod:`scatterpoly.jacobi`.  Only the float members import them,
-when called: the :class:`RadialForm` methods, :func:`jacobi_form` and
-:func:`mode_kernels`.
+Import boundary: the exact half of this module needs neither numpy nor
+:mod:`scatterpoly.jacobi`.  The float members (the :class:`RadialForm`
+methods, :func:`jacobi_form`, :func:`mode_kernels`) import them when
+called.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 from .poly_algebra import BOUNDARY_FACTOR, BivariatePoly, WProfile
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from .jacobi import JacobiParams
 
     ArrayLike = Union[float, np.ndarray]
 
@@ -104,10 +89,8 @@ class RadialForm:
     """Factored representation coeff * (1-r^2) * r^m * P_nu^(1,m)(2r^2-1).
 
     The full polynomial is the radial part times e^(i * angular_frequency
-    * theta).  Instances returned by :func:`jacobi_form` carry the
-    closed-form prefactor and have already been checked against the exact
-    binomial sum, so evaluation through here is trustworthy at double
-    precision.
+    * theta).  Instances from :func:`jacobi_form` have passed the
+    construction-time check, so they are trustworthy at double precision.
     """
 
     coeff: float
@@ -115,24 +98,14 @@ class RadialForm:
     nu: int
     angular_frequency: int
 
-    @property
-    def params(self) -> JacobiParams:
-        from .jacobi import JacobiParams
-
-        return JacobiParams(alpha=1, beta=self.m, degree=self.nu)
-
     def radial_kernel(self, r: ArrayLike) -> ArrayLike:
-        """The radial part divided by (1 - r^2); a polynomial in r.
-
-        This is the quantity to integrate against when the measure carries
-        1/(1 - r^2): the singular factor has been cancelled analytically.
-        """
+        """The radial part divided by (1 - r^2), which cancels the weight
+        1/(1 - r^2) analytically: one column of the pass behind :func:`mode_kernels`."""
         import numpy as np
 
-        from .jacobi import jacobi_eval
+        from .jacobi import radial_kernels
 
-        rv = np.asarray(r, dtype=float)
-        out = self.coeff * rv**self.m * jacobi_eval(self.params, 2.0 * rv * rv - 1.0)
+        out = next(radial_kernels([_columns([self])], np.asarray(r, dtype=float)))[..., 0]
         return float(out) if np.ndim(r) == 0 else out
 
     def radial_value(self, r: ArrayLike) -> ArrayLike:
@@ -164,11 +137,9 @@ def _boundary_power(k: int) -> WProfile:
 def rodrigues_profile(idx: PQIndex) -> WProfile:
     """phi^(p,q) by repeated exact differentiation, as an integer w-profile.
 
-    (-1)^p / (q * (p+q-1)!) * (1 - z*zbar) * d^(p+q)/dz^p dzbar^q
-    applied to (1 - z*zbar)^(p+q-1).  This is the normative construction;
-    the other routes are validated against it.  Every step before the
-    final scale is integer arithmetic on the coefficient vector, and no
-    binomial closed form is used, so the route stays independent of
+    (-1)^p / (q * (p+q-1)!) * (1 - z*zbar) * d^(p+q)/dz^p dzbar^q applied
+    to (1 - z*zbar)^(p+q-1): the normative construction.  Integer steps
+    only, and no binomial closed form, so it stays independent of
     :func:`radial_sum`.
     """
     p, q = idx.p, idx.q
@@ -179,9 +150,7 @@ def rodrigues_profile(idx: PQIndex) -> WProfile:
         core = core.dzbar()
     phi = core.times_boundary()
     sign = (-1) ** p
-    return WProfile(
-        phi.n, tuple(sign * c for c in phi.coeffs), q * math.factorial(p + q - 1)
-    )
+    return WProfile(phi.n, tuple(sign * c for c in phi.coeffs), q * math.factorial(p + q - 1))
 
 
 @lru_cache(maxsize=None)
@@ -201,9 +170,8 @@ def radial_sum(idx: PQIndex) -> BivariatePoly:
             (-1)^(p+k) C(p+q-1, k) (k!)^2
             / (q (p+q-1)! (k-p)! (k-q)!) * z^(k-p) zbar^(k-q)
 
-    with every coefficient an exact rational.  Shares no code with the
-    differentiation route beyond the integer profile's product with
-    (1 - z*zbar) and its conversion to the general ring.
+    with every coefficient an exact rational; it shares only the profile
+    product with (1 - z*zbar) and the conversion with the other route.
     """
     return _sum_kernel(idx).times_boundary().to_poly()
 
@@ -211,27 +179,27 @@ def radial_sum(idx: PQIndex) -> BivariatePoly:
 def _sum_kernel(idx: PQIndex) -> WProfile:
     """The binomial sum of :func:`radial_sum` without its (1 - w) factor.
 
-    Term k = max{p,q} .. p+q-1 is the numerator (-1)^(p+k) C(p+q-1, k)
-    (k!/(k-p)!) (k!/(k-q)!) over the common denominator q (p+q-1)!; it
-    multiplies z^(k-p) zbar^(k-q), that is w^(k - max{p,q}) at frequency
-    q - p.
+    Term k = max{p,q} .. p+q-1, the monomial w^(k - max{p,q}) at frequency
+    q - p, has the numerator N_k = (-1)^(p+k) C(p+q-1, k) (k!/(k-p)!)
+    (k!/(k-q)!) over q (p+q-1)!; after the first, N_(k+1) = N_k times the
+    exact integer ratio -(p+q-1-k)(k+1) / ((k+1-p)(k+1-q)).
     """
     p, q = idx.p, idx.q
-    deg = p + q - 1
-    numerators = tuple(
-        (-1) ** (p + k) * math.comb(deg, k) * math.perm(k, p) * math.perm(k, q)
-        for k in range(max(p, q), deg + 1)
-    )
-    return WProfile(idx.angular_frequency, numerators, q * math.factorial(deg))
+    deg, top = p + q - 1, max(p, q)
+    term = (-1) ** (p + top) * math.comb(deg, top) * math.perm(top, p) * math.perm(top, q)
+    numerators = [term]
+    for k in range(top, deg):
+        term = -term * (deg - k) * (k + 1) // ((k + 1 - p) * (k + 1 - q))
+        numerators.append(term)
+    return WProfile(idx.angular_frequency, tuple(numerators), q * math.factorial(deg))
 
 
 def radial_profile(poly: BivariatePoly) -> tuple[int, dict[int, Fraction]]:
     """Collapse a pure-frequency, real-coefficient polynomial to radial form.
 
-    Every monomial z^a zbar^b contributes coefficient * r^(a+b) at the
-    shared frequency n = a - b; returns (n, {power: coefficient}).  Raises
-    ValueError when monomial frequencies differ or a coefficient has an
-    imaginary part, since then no single radial profile exists.
+    Monomial z^a zbar^b adds its coefficient at r^(a+b); returns
+    (n, {power: coefficient}) with n = a - b, or raises ValueError when
+    frequencies differ or a coefficient is not real.
     """
     freq = None
     profile: dict[int, Fraction] = defaultdict(Fraction)
@@ -254,10 +222,9 @@ def profile_value(profile: dict[int, Fraction], r: Fraction) -> Fraction:
 def radial_sum_values(idx: PQIndex, radii: Sequence[int]) -> tuple[list[int], int]:
     """Exact radial values of phi^(p,q) at the dyadic radii r = a/1024.
 
-    Evaluates the binomial sum of :func:`radial_sum` in Python integers,
-    with no polynomial ring.  Returns one integer numerator per radius and
-    their common denominator q (p+q-1)! 1024^(p+q), so each value converts
-    to the nearest double by a single int / int division.
+    The binomial sum of :func:`radial_sum` in Python integers: one
+    numerator per radius over the common denominator q (p+q-1)! 1024^(p+q),
+    so each value rounds to a double by one int / int division.
     """
     # the factor (1 - r^2) = (1024^2 - a^2) / 1024^2 is applied per radius
     numerators, den = _sum_kernel(idx).numerators_at(radii, _RADIUS_DEN)
@@ -265,69 +232,114 @@ def radial_sum_values(idx: PQIndex, radii: Sequence[int]) -> tuple[list[int], in
     return [(den_sq - a * a) * num for a, num in zip(radii, numerators)], den * den_sq
 
 
-@lru_cache(maxsize=None)
-def jacobi_form(idx: PQIndex) -> RadialForm:
-    """Factored form of phi^(p,q), prefactor (-1)^(q+1) * max{p,q}/q.
+#: Dyadic radii per angular mode in the construction-time check.
+_CHECK_RADII = 20
 
-    The prefactor is the closed form of docs/math_notes.md section 2.1.
-    Each form is checked against the exact binomial sum at 20 seeded
-    dyadic radii before it is returned; a deviation beyond 1e-12 of the
-    profile's scale raises :class:`SignValidationError`, which would mean
-    a genuine bug rather than a convention issue.
+
+def _check_mode(n: int, nus: range) -> list[RadialForm]:
+    """Closed-form factored forms of the members nu in nus of mode n, checked.
+
+    Prefactor (-1)^(q+1) * max{p,q}/q (docs/math_notes.md section 2.1).
+    One seeded set of dyadic radii serves the mode: one kernel table there
+    against each member's exact binomial sum (:func:`radial_sum_values`).
+    A deviation beyond 1e-12 of a member's scale raises
+    :class:`SignValidationError` naming it: a bug, not a convention issue.
     """
     import numpy as np
 
-    sign = (-1) ** (idx.q + 1)
-    magnitude = max(idx.p, idx.q) / idx.q
-    form = RadialForm(
-        coeff=sign * magnitude,
-        m=idx.m,
-        nu=idx.nu,
-        angular_frequency=idx.angular_frequency,
-    )
-    rng = random.Random(100003 * idx.p + idx.q)
-    radii = sorted(rng.sample(range(1, _RADIUS_DEN), 20))
-    numerators, den = radial_sum_values(idx, radii)
-    exact = np.array([num / den for num in numerators])
-    scale = max(1.0, float(np.max(np.abs(exact))))
-    approx = form.radial_value(np.array(radii) / _RADIUS_DEN)
-    if np.max(np.abs(approx - exact)) > 1e-12 * scale:
-        raise SignValidationError(
-            f"closed-form factored route disagrees with the exact polynomial for {idx}"
-        )
-    return form
+    from .jacobi import radial_kernels
+
+    p0, q0 = (1, 1 + n) if n >= 0 else (1 - n, 1)  # the member with nu = 0
+    members = [PQIndex(p0 + nu, q0 + nu) for nu in nus]
+    forms = [RadialForm((-1) ** (i.q + 1) * (max(i.p, i.q) / i.q), i.m, i.nu, n) for i in members]
+    radii = sorted(random.Random(f"mode {n}").sample(range(1, _RADIUS_DEN), _CHECK_RADII))
+    r = np.array(radii) / _RADIUS_DEN
+    approx = (1.0 - r * r)[:, None] * next(radial_kernels([_columns(forms)], r))
+    sums = (radial_sum_values(idx, radii) for idx in members)
+    exact = np.array([[num / den for num in numerators] for numerators, den in sums]).T
+    scale = np.maximum(1.0, np.max(np.abs(exact), axis=0))
+    bad = np.max(np.abs(approx - exact), axis=0) > 1e-12 * scale
+    for idx, failed in zip(members, bad.tolist()):
+        if failed:
+            raise SignValidationError(
+                f"closed-form factored route disagrees with the exact polynomial for {idx}"
+            )
+    return forms
+
+
+def _columns(forms: Sequence[RadialForm]) -> tuple[int, list[int], list[float]]:
+    """Forms sharing one m as a column group of :func:`~scatterpoly.jacobi.radial_kernels`."""
+    return forms[0].m, [f.nu for f in forms], [f.coeff for f in forms]
+
+
+#: The checked forms of each mode n, for nu = 0, 1, ...: jacobi_form's cache.
+_CHECKED: dict[int, list[RadialForm]] = defaultdict(list)
+_LOOKUPS: Counter = Counter()
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+def _checked_forms(indices: Sequence[PQIndex]) -> list[RadialForm]:
+    """The checked form of each index.  A mode's members are checked in
+    order of nu, each once, so a growing mode checks its new members only;
+    a lookup that checks nothing is a hit, each member checked a miss."""
+    need: dict[int, int] = defaultdict(int)
+    for idx in indices:
+        need[idx.q - idx.p] = max(need[idx.q - idx.p], idx.nu + 1)
+    checked = 0
+    for n, count in need.items():
+        have = len(_CHECKED[n])
+        if have < count:
+            # a slice, not an append: threads that check the same members store the same forms
+            _CHECKED[n][have:count] = _check_mode(n, range(have, count))
+            checked += count - have
+    _LOOKUPS.update(hits=0 if checked else 1, misses=checked)
+    return [_CHECKED[idx.q - idx.p][idx.nu] for idx in indices]
+
+
+def jacobi_form(idx: PQIndex) -> RadialForm:
+    """Factored form of phi^(p,q), prefactor (-1)^(q+1) * max{p,q}/q.
+
+    A lookup into the checked forms that checks idx's mode up to idx first
+    if need be.  ``cache_clear()`` forgets every check, so later lookups
+    check again; ``cache_info()`` counts lookups and checks.
+    """
+    return _checked_forms([idx])[0]
+
+
+def _forget_checks() -> None:
+    _CHECKED.clear()
+    _LOOKUPS.clear()
+
+
+jacobi_form.cache_clear = _forget_checks
+jacobi_form.cache_info = lambda: _CacheInfo(
+    _LOOKUPS["hits"], _LOOKUPS["misses"], None, sum(map(len, _CHECKED.values()))
+)
 
 
 def mode_kernels(
     indices: Sequence[PQIndex], r: np.ndarray
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Radial kernels of many basis members, one Jacobi table per angular mode.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Radial kernels of many basis members, from one Jacobi recurrence pass.
 
-    Groups the positions of ``indices`` by angular frequency n = q - p and
-    returns (n, positions, kernel) per mode in increasing n, where column j
-    of kernel is ``jacobi_form(indices[positions[j]]).radial_kernel(r)``:
-    every member of a mode shares m = |n| and so one P^(1,m) recurrence.
-    The prefactors come from :func:`jacobi_form`, so every member passes
-    its construction-time check.
+    Yields (n, positions, kernel) per angular frequency n = q - p in
+    increasing n; column j is ``jacobi_form(indices[positions[j]])
+    .radial_kernel(r)``.  The checks of new members and the one
+    :func:`~scatterpoly.jacobi.radial_kernels` table over every m = |n| run
+    at the call; each kernel is built as the result is iterated.
     """
     import numpy as np
 
-    from .jacobi import jacobi_table
+    from .jacobi import radial_kernels
 
-    r = np.asarray(r, dtype=float)
     modes: dict[int, list[int]] = defaultdict(list)
     for position, idx in enumerate(indices):
-        modes[idx.angular_frequency].append(position)
-    x = 2.0 * r * r - 1.0
-    out = []
-    for n in sorted(modes):
-        positions = modes[n]
-        forms = [jacobi_form(indices[k]) for k in positions]
-        table = jacobi_table(abs(n), max(form.nu for form in forms), x)
-        coeff = np.array([form.coeff for form in forms])
-        kernel = coeff * r[:, None] ** abs(n) * table[:, [form.nu for form in forms]]
-        out.append((n, np.array(positions), kernel))
-    return out
+        modes[idx.q - idx.p].append(position)
+    forms = _checked_forms(indices)
+    ns = sorted(modes)
+    groups = [_columns([forms[k] for k in modes[n]]) for n in ns]
+    kernels = radial_kernels(groups, np.asarray(r, dtype=float))
+    return zip(ns, (np.array(modes[n]) for n in ns), kernels)
 
 
 def resolved_sign(idx: PQIndex) -> int:
@@ -338,11 +350,9 @@ def resolved_sign(idx: PQIndex) -> int:
 def sign_resolution(idx: PQIndex) -> dict:
     """Record how the checked sign relates to the printed exponent rule.
 
-    ``resolved_sign`` is the sign of the jacobi_form prefactor, the closed
-    form (-1)^(q+1) checked against the exact binomial sum; ``rule_sign``
-    is what the printed exponent (-1)^(q + max{p,q}) would give.
-    ``agrees`` is False exactly when the two differ, which happens
-    whenever max{p,q} is even (docs/math_notes.md section 2.2).
+    ``resolved_sign`` is the sign of the checked jacobi_form prefactor,
+    ``rule_sign`` that of the printed (-1)^(q + max{p,q}); ``agrees`` is
+    False exactly when max{p,q} is even (docs/math_notes.md section 2.2).
     """
     resolved = resolved_sign(idx)
     rule = (-1) ** (idx.q + max(idx.p, idx.q))
@@ -363,17 +373,13 @@ def apply_modified_laplacian(poly: BivariatePoly) -> BivariatePoly:
 def eigencheck(idx: PQIndex) -> bool:
     """True iff the weighted Laplacian sends phi^(p,q) to -pq * phi^(p,q).
 
-    Checked exactly on the integer profile: (1 - w) d2/dz dzbar phi + pq phi
-    must have every coefficient zero.  Both terms share phi's denominator,
-    so the numerators decide.
+    Every integer coefficient of (1 - w) d2/dz dzbar phi + pq phi must be
+    zero; both terms share phi's denominator, so the numerators decide.
     """
     phi = rodrigues_profile(idx)
     image = phi.dz().dzbar().times_boundary()
-    residual = (
-        a + idx.eigenvalue * b
-        for a, b in zip_longest(image.coeffs, phi.coeffs, fillvalue=0)
-    )
-    return not any(residual)
+    pairs = zip_longest(image.coeffs, phi.coeffs, fillvalue=0)
+    return not any(a + idx.eigenvalue * b for a, b in pairs)
 
 
 def eigenspace_indices(k: int) -> list[PQIndex]:
@@ -387,18 +393,11 @@ def basis_indices(max_sum: int) -> list[PQIndex]:
     """All (p, q) with p, q >= 1 and p + q <= max_sum, lexicographic."""
     if max_sum < 2:
         raise ValueError("max_sum must be >= 2")
-    return [
-        PQIndex(p, q)
-        for p in range(1, max_sum)
-        for q in range(1, max_sum - p + 1)
-    ]
+    return [PQIndex(p, q) for p in range(1, max_sum) for q in range(1, max_sum - p + 1)]
 
 
 def norm_sq(idx: PQIndex) -> float:
-    """Squared norm of phi^(p,q) under the measure r dr dtheta / (1 - r^2).
-
-    Closed form pi * p / (q * (p + q)).  tests/test_scattering.py gates
-    this formula against the exact polynomial integral for all p + q <= 12
-    before the rest of the package leans on it.
-    """
+    """Squared norm pi p / (q (p + q)) of phi^(p,q) under r dr dtheta /
+    (1 - r^2); tests/test_scattering.py gates it against the exact
+    polynomial integral for all p + q <= 12."""
     return math.pi * idx.p / (idx.q * (idx.p + idx.q))

@@ -121,12 +121,11 @@ def _synthesize(table: ExpansionTable, r: np.ndarray, theta: np.ndarray) -> np.n
     items = table.items()
     indices = [idx for idx, _ in items]
     coeffs = np.array([c for _, c in items])
-    modes = mode_kernels(indices, r)
-    radial = np.empty((r.size, len(modes)), dtype=complex)
-    for k, (_, positions, kernel) in enumerate(modes):
+    freqs = np.array(sorted({idx.angular_frequency for idx in indices}), dtype=float)
+    radial = np.empty((r.size, freqs.size), dtype=complex)
+    for k, (_, positions, kernel) in enumerate(mode_kernels(indices, r)):
         # the (1 - r^2) factor stays explicit, so the sum is 0 at r = 1 exactly
         radial[:, k] = (1.0 - r * r) * (kernel @ coeffs[positions])
-    freqs = np.array([n for n, _, _ in modes], dtype=float)
     return radial @ np.exp(1j * freqs[:, None] * theta[None, :])
 
 
@@ -150,6 +149,19 @@ def boundary_value_check(table: ExpansionTable, n_theta: int) -> float:
         raise ValueError("n_theta must be >= 1")
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     return float(np.max(np.abs(_synthesize(table, np.array([1.0]), theta))))
+
+
+def rim_amplitude(f: DiskFunction, n_theta: int) -> float:
+    """Max |f| over n_theta points of the unit circle.
+
+    The weighted norm of f is finite only if f vanishes on the rim
+    (docs/math_notes.md section 5), so a target with a nonzero rim
+    amplitude has no finite expansion residual.
+    """
+    if n_theta < 1:
+        raise ValueError("n_theta must be >= 1")
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    return float(np.max(np.abs(sample_polar(f, np.array([1.0]), theta))))
 
 
 def solve_table(f_table: ExpansionTable) -> ExpansionTable:

@@ -39,3 +39,32 @@ def random_point(rng: random.Random, radius: float = 0.95) -> complex:
 def exact_norm_fraction(idx: PQIndex) -> Fraction:
     """The closed-form squared norm as a multiple of pi."""
     return Fraction(idx.p, idx.q * (idx.p + idx.q))
+
+
+def scalar_jacobi_table(m: int, max_degree: int, x):
+    """Reference P_nu^(1,m)(x), nu = 0 .. max_degree, for one m at a time.
+
+    The three-term recurrence with Python-integer coefficients, written
+    out independently of :func:`scatterpoly.jacobi.jacobi_table`; the
+    package's batched pass must reproduce it bit for bit.
+    """
+    import numpy as np
+
+    a, b = 1, m
+    xv = np.asarray(x, dtype=float)
+    out = np.empty(xv.shape + (max_degree + 1,))
+    prev = np.ones_like(xv)
+    out[..., 0] = prev
+    if max_degree == 0:
+        return out
+    curr = (a + 1) + (a + b + 2) * (xv - 1.0) / 2.0
+    out[..., 1] = curr
+    for k in range(2, max_degree + 1):
+        s = 2 * k + a + b
+        c_norm = 2 * k * (k + a + b) * (s - 2)
+        c_x = (s - 1) * s * (s - 2)
+        c_const = (s - 1) * (a * a - b * b)
+        c_prev = 2 * (k + a - 1) * (k + b - 1) * s
+        prev, curr = curr, ((c_const + c_x * xv) * curr - c_prev * prev) / c_norm
+        out[..., k] = curr
+    return out

@@ -21,7 +21,7 @@ from scatterpoly.cli import (
     NonFiniteOutputError,
     _grid_rows,
     _resolve_input,
-    _sign_mismatch,
+    _sign_mismatches,
     format_float,
     main,
     render_json,
@@ -214,13 +214,14 @@ class TestVerify:
     def test_sign_mismatch_matches_the_fraction_reference(self):
         # reference: exact values as Fractions, one scalar evaluation per
         # radius; the report must agree to the last bit
-        for idx in basis_indices(12):
+        indices = basis_indices(12)
+        for idx, mismatch in zip(indices, _sign_mismatches(indices)):
             _, profile = radial_profile(rodrigues(idx))
             form = jacobi_form(idx)
             exact = [float(profile_value(profile, Fraction(k, 11))) for k in range(1, 11)]
             scale = max(1.0, max(abs(v) for v in exact))
             worst = max(abs(form.radial_value(k / 11) - v) for k, v in zip(range(1, 11), exact))
-            assert _sign_mismatch(idx) == worst / scale
+            assert mismatch == worst / scale
 
     def test_limit_on_exact_work(self, capsys):
         assert main(["verify", str(MAX_VERIFY_SUM + 1)]) == 2
@@ -355,6 +356,37 @@ class TestExpand:
             residuals.append(read_json("s.json")["l2_residual"])
         assert residuals[1] < residuals[0]
 
+    @pytest.mark.parametrize("trunc", [2, 3, 8, 16, 32])
+    def test_nonzero_rim_has_a_divergent_residual(self, trunc, capsys):
+        # f = 1 has infinite weighted norm, so no residual is a number
+        assert main(["expand", "builtin:one", "--trunc", str(trunc)]) == 0
+        assert "L2 residual divergent (rim amplitude 1)" in capsys.readouterr().out
+        payload = read_json("expansion.json")
+        assert payload["l2_residual"] is None
+        assert payload["l2_residual_divergent"] is True
+        assert payload["rim_amplitude"] == 1.0
+        assert payload["boundary_max"] == 0.0
+
+    @pytest.mark.parametrize("spec", ["builtin:radial_bump", "builtin:phi_3_2"])
+    def test_rim_vanishing_target_keeps_its_keys(self, spec):
+        assert main(["expand", spec, "--trunc", "6"]) == 0
+        payload = read_json("expansion.json")
+        keys = ["input", "truncation", "coefficients", "l2_residual", "boundary_max"]
+        assert list(payload) == keys
+        assert 0.0 <= payload["l2_residual"] < 1e-9
+
+    def test_rim_tolerance(self, monkeypatch):
+        # just above the tolerance the residual is refused, at it it is printed
+        for rim, divergent in ((2e-6, True), (1e-6, False)):
+            monkeypatch.setattr(
+                "scatterpoly.cli._resolve_input",
+                lambda spec, rim=rim: ((lambda r, t: (1.0 - r * r) + rim * r**8 + 0j), spec),
+            )
+            assert main(["expand", "x", "--trunc", "4"]) == 0
+            payload = read_json("expansion.json")
+            assert payload.get("l2_residual_divergent", False) is divergent
+            assert (payload["l2_residual"] is None) is divergent
+
     def test_rejects_unknown_builtin(self, capsys):
         assert main(["expand", "builtin:wave"]) == 2
         assert "unknown builtin" in capsys.readouterr().err
@@ -384,8 +416,22 @@ class TestBuiltinInputs:
 
         monkeypatch.setattr("scatterpoly.cli._resolve_input", lambda spec: (counted, spec))
         assert main(["expand", "input.csv", "--trunc", "6", "--out", "c.json"]) == 0
-        # one call for the projection grid, one for the residual grid
-        assert calls == [(14, 1), (24, 1)]
+        # one call for the projection grid and one for the rim; the grid stops
+        # at r = 7/8, where f is not 0, so there is no residual grid
+        assert calls == [(14, 1), (1, 1)]
+
+    def test_rim_vanishing_target_sampled_once_per_grid(self, monkeypatch):
+        f, _ = _resolve_input("builtin:radial_bump")
+        calls = []
+
+        def counted(r, theta):
+            calls.append(np.shape(r))
+            return f(r, theta)
+
+        monkeypatch.setattr("scatterpoly.cli._resolve_input", lambda spec: (counted, spec))
+        assert main(["expand", "builtin:radial_bump", "--trunc", "6"]) == 0
+        # projection grid, rim, residual grid
+        assert calls == [(14, 1), (1, 1), (24, 1)]
 
 
 class TestSolve:

@@ -8,6 +8,8 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import eval_jacobi
 
+from helpers import scalar_jacobi_table
+
 from scatterpoly.jacobi import (
     ConvergenceError,
     JacobiParams,
@@ -87,6 +89,33 @@ class TestJacobiTable:
             assert table.shape == (23, 13)
             for nu in range(0, 13):
                 assert np.array_equal(table[:, nu], jacobi_eval(JacobiParams(1, m, nu), xs))
+
+    @pytest.mark.parametrize("nodes", ["gauss", "uniform"])
+    def test_all_modes_equal_the_scalar_recurrence(self, nodes):
+        # every m <= 126 and nu <= 63 (the largest at MAX_TRUNC) in one pass,
+        # bit for bit the one-m recurrence with Python-integer coefficients
+        if nodes == "gauss":
+            xs = np.concatenate([[-1.0], gauss_legendre(66).nodes, [1.0]])
+        else:
+            xs = np.linspace(-1.0, 1.0, 41)
+        ms = list(range(127))
+        table = jacobi_table(ms, 63, xs)
+        assert table.shape == (xs.size, 127, 64)
+        for m in ms:
+            assert np.array_equal(table[:, m, :], scalar_jacobi_table(m, 63, xs))
+
+    def test_modes_in_any_order_and_with_repeats(self):
+        xs = np.linspace(-1.0, 1.0, 9)
+        table = jacobi_table([5, 0, 5, 2], 7, xs)
+        for j, m in enumerate([5, 0, 5, 2]):
+            assert np.array_equal(table[:, j, :], scalar_jacobi_table(m, 7, xs))
+
+    def test_scalar_m_and_scalar_x(self):
+        assert jacobi_table(3, 4, 0.3).shape == (5,)
+        assert np.array_equal(jacobi_table(3, 4, 0.3), scalar_jacobi_table(3, 4, 0.3))
+        assert jacobi_table([1, 2], 0, 0.5).shape == (2, 1)
+        with pytest.raises(ValueError):
+            jacobi_table([1, -1], 3, 0.5)
 
     def test_keeps_the_shape_of_x(self):
         xs = np.linspace(-1.0, 1.0, 12).reshape(3, 4)

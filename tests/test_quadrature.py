@@ -90,6 +90,16 @@ class TestGram:
         with pytest.raises(ValueError):
             gram([])
 
+    def test_max_off_diagonal_ignores_only_the_diagonal(self):
+        entries = np.array([[9.0, -3.0, 1.0], [-3.0, 7.0, 2.5], [1.0, 2.5, -8.0]])
+        matrix = GramMatrix(indices=tuple(basis_indices(3)), entries=entries)
+        assert matrix.max_off_diagonal() == 3.0
+        assert entries[0, 0] == 9.0 and entries[2, 2] == -8.0
+        assert GramMatrix((PQIndex(1, 1),), np.array([[5.0]])).max_off_diagonal() == 0.0
+        big = gram(basis_indices(12))
+        reference = np.max(np.abs(big.entries - np.diag(np.diag(big.entries))))
+        assert big.max_off_diagonal() == reference
+
     def test_type_fields(self):
         matrix = gram(basis_indices(3))
         assert isinstance(matrix, GramMatrix)

@@ -3,12 +3,16 @@
 import cmath
 import math
 import random
+import sys
+import threading
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from scatterpoly import cli, scattering
+from scatterpoly import cli, jacobi, scattering
+from scatterpoly.jacobi import gauss_legendre
 from scatterpoly.poly_algebra import BOUNDARY_FACTOR, BivariatePoly, Z, ZBAR
 from scatterpoly.quadrature import gram, inner_product_poly_exact
 from scatterpoly.scattering import (
@@ -33,7 +37,7 @@ from scatterpoly.scattering import (
 )
 from scatterpoly.transform import expand, reconstruct, solve_weighted_poisson
 
-from helpers import exact_norm_fraction, random_point
+from helpers import exact_norm_fraction, random_point, scalar_jacobi_table
 
 #: sigma_0(k) for k = 1..30: number of divisors.
 DIVISOR_COUNTS = [
@@ -260,6 +264,127 @@ class TestModeKernels:
                 assert np.array_equal(kernel[:, column], expected)
             seen += list(positions)
         assert sorted(seen) == list(range(len(indices)))
+
+
+    def test_columns_equal_the_per_index_reference_at_40(self):
+        # per index: coeff * r**m (a scalar exponent) times the one-m
+        # recurrence; the batched pass must give the same bits for every mode
+        indices = basis_indices(40)
+        r = np.sqrt((1.0 + gauss_legendre(48).nodes) / 2.0)
+        x = 2.0 * r * r - 1.0
+        for n, positions, kernel in mode_kernels(indices, r):
+            for column, k in enumerate(positions):
+                form = jacobi_form(indices[k])
+                expected = form.coeff * r**form.m * scalar_jacobi_table(form.m, form.nu, x)[:, -1]
+                assert np.array_equal(kernel[:, column], expected), indices[k]
+
+    def test_one_form_kernel_is_its_mode_column(self):
+        indices = basis_indices(16)
+        r = np.linspace(0.0, 1.0, 9)
+        for n, positions, kernel in mode_kernels(indices, r):
+            for column, k in enumerate(positions):
+                form = jacobi_form(indices[k])
+                assert np.array_equal(form.radial_kernel(r), kernel[:, column])
+                assert form.radial_kernel(0.5) == form.radial_kernel(r[4:5])[0]
+
+
+class TestModeChecks:
+    """The construction check runs a mode at a time, once per member."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        calls = []
+        reference = scattering.radial_sum_values
+
+        def counted(idx, radii):
+            calls.append(idx)
+            return reference(idx, radii)
+
+        monkeypatch.setattr(scattering, "radial_sum_values", counted)
+        jacobi_form.cache_clear()
+        yield calls
+        jacobi_form.cache_clear()
+
+    def test_cold_gram_runs_one_table_per_node_set(self, checked, monkeypatch):
+        node_sets = []
+        table = jacobi.jacobi_table
+
+        def counted(m, max_degree, x):
+            node_sets.append(np.asarray(x).tobytes())
+            return table(m, max_degree, x)
+
+        monkeypatch.setattr(jacobi, "jacobi_table", counted)
+        indices = basis_indices(32)
+        gram(indices)
+        modes = {idx.angular_frequency for idx in indices}
+        # one table at each mode's check radii plus one at the Gram nodes,
+        # not one per mode at the Gram nodes or one per index
+        assert max(Counter(node_sets).values()) == 1
+        assert len(node_sets) == len(modes) + 1
+        assert sorted(checked) == sorted(indices)
+
+    def test_growing_a_mode_checks_only_new_members(self, checked):
+        small, large = basis_indices(16), basis_indices(32)
+        mode_kernels(small, np.array([0.5]))
+        assert sorted(checked) == sorted(small)
+        checked.clear()
+        mode_kernels(large, np.array([0.25, 0.75]))
+        assert sorted(checked) == sorted(set(large) - set(small))
+        checked.clear()
+        gram(large)
+        jacobi_form(PQIndex(3, 9))
+        assert checked == []
+        assert jacobi_form.cache_info().misses == len(large)
+        assert jacobi_form.cache_info().currsize == len(large)
+
+    def test_clearing_forces_a_recheck(self, checked):
+        # the first lookup checks its mode n = 3 up to nu = 3, in order of nu
+        mode = [PQIndex(1, 4), PQIndex(2, 5), PQIndex(3, 6), PQIndex(4, 7)]
+        jacobi_form(PQIndex(4, 7))
+        jacobi_form(PQIndex(4, 7))
+        jacobi_form(PQIndex(2, 5))
+        assert checked == mode
+        assert jacobi_form.cache_info()[:2] == (2, 4)
+        jacobi_form.cache_clear()
+        assert jacobi_form.cache_info()[:2] == (0, 0)
+        jacobi_form(PQIndex(4, 7))
+        assert checked == mode * 2
+
+    def test_threads_checking_one_basis_store_each_form_once(self, checked):
+        indices = basis_indices(24)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: list(mode_kernels(indices, np.array([0.5]))))
+                for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert jacobi_form.cache_info().currsize == len(indices)
+        for idx in indices:
+            form = jacobi_form(idx)
+            assert (form.m, form.nu, form.angular_frequency) == (idx.m, idx.nu, idx.q - idx.p)
+
+    def test_failure_names_the_member(self, monkeypatch):
+        reference = scattering.radial_sum_values
+
+        def one_wrong(idx, radii):
+            numerators, den = reference(idx, radii)
+            if idx == PQIndex(5, 8):
+                numerators = [num + den // 10**6 for num in numerators]
+            return numerators, den
+
+        monkeypatch.setattr(scattering, "radial_sum_values", one_wrong)
+        jacobi_form.cache_clear()
+        with pytest.raises(SignValidationError, match=r"p=5, q=8"):
+            mode_kernels(basis_indices(16), np.array([0.5]))
+        jacobi_form.cache_clear()
 
 
 class TestFloatPathIsExactFree:
