@@ -2,14 +2,19 @@
 moment ladders, expansion, and the diagonal solve as batch commands.
 
 Every command writes its primary result to a file (CSV or JSON) and a
-one-line summary to stdout.  Output is deterministic byte for byte:
-floats are always rendered through the same 17-significant-digit format,
-orderings are fixed, and no timestamps or environment state leak in.
-Exit codes: 0 success, 1 verification or internal failure, 2 usage
-error, which includes sizes above the limits on work (:data:`MAX_TABLE_SUM`,
+one-line summary to stdout.  One writer, :func:`_write`, serves every
+file: a command describes its result once, as a :class:`Table` in a JSON
+payload, and the writer emits the table's rows as CSV or the payload as
+JSON, a block of rows at a time.  Every value is checked before the file
+opens, so no output file ever holds a nan or an infinity, and a refused
+value leaves no file.  Output is deterministic byte for byte: floats are
+always rendered through the same 17-significant-digit format, orderings
+are fixed, and no timestamps or environment state leak in.  Exit codes:
+0 success, 1 verification or internal failure, 2 usage error, which
+includes sizes above the limits on work (:data:`MAX_TABLE_SUM`,
 :data:`MAX_VERIFY_SUM`, :data:`MAX_TRUNC`, :data:`MAX_GRAM_SUM`,
-:data:`MAX_GRID_CELLS`, :data:`MAX_MOMENT_SUM`).  No output file ever
-holds a nan or an infinity.
+:data:`MAX_GRID_CELLS`, :data:`MAX_MOMENT_SUM`) and an output path that
+cannot be written.
 
 Import boundary: this module loads only the exact layer.  Each float
 command imports numpy and the float layers it uses when it runs, after
@@ -23,9 +28,11 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, TextIO
 
 from .poly_algebra import NotDivisibleError
 from .scattering import (
@@ -36,7 +43,7 @@ from .scattering import (
     jacobi_form,
     mode_kernels,
     norm_sq,
-    radial_sum,
+    radial_sum_profile,
     rodrigues,
     rodrigues_profile,
     sign_resolution,
@@ -68,52 +75,134 @@ def format_float(x: float) -> str:
     return "%.17g" % x
 
 
+def format_floats(a) -> list[str]:
+    """:func:`format_float` of every value of a float array, in flat order:
+    one finiteness check, then ``"%.17g"`` over the values plus 0.0 (which
+    turns -0.0 into 0)."""
+    return list(map("%.17g".__mod__, (_finite(a).ravel() + 0.0).tolist()))
+
+
+def _finite(a):
+    """a as a float array, or :class:`NonFiniteOutputError` naming a bad value."""
+    import numpy as np
+
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise NonFiniteOutputError(f"refusing to output non-finite value {a[~np.isfinite(a)][0]}")
+    return a
+
+
+#: Cells per block of rows that the writer formats and writes at a time.
+_BLOCK_CELLS = 1 << 12
+
+
+class Table:
+    """An output table: a header over text columns (numbers already
+    rendered, or labels), then the columns of the 2-D float array
+    ``values``, checked finite here.  In JSON each row is an object keyed
+    by the header, its text cells written as they are, or with
+    ``records=False`` the array of its values alone."""
+
+    def __init__(self, header: list[str], text: list[list[str]], values, records: bool = True):
+        self.header, self.text, self.values, self.records = header, text, _finite(values), records
+
+    def _row_blocks(self, text: list[list[str]]) -> Iterator[list[tuple[str, ...]]]:
+        """Rows of the text columns ``text`` and the formatted values, a block at a time."""
+        n_rows, width = self.values.shape
+        step = max(1, _BLOCK_CELLS // len(self.header))
+        for start in range(0, n_rows, step):
+            cells = iter(format_floats(self.values[start:start + step]))
+            yield list(zip(*(column[start:start + step] for column in text), *[cells] * width))
+
+    def csv_blocks(self) -> Iterator[str]:
+        """The header and the rows as CSV lines, quoted as :mod:`csv` quotes them."""
+        yield ",".join(_csv_fields(self.header)) + "\r\n"
+        for rows in self._row_blocks([_csv_fields(column) for column in self.text]):
+            yield "\r\n".join(map(",".join, rows)) + "\r\n"
+
+    def json_blocks(self, indent: int) -> Iterator[str]:
+        """The table as a JSON value at ``indent``, a block of rows at a time."""
+        if not self.records or not len(self.values):
+            yield from _json_parts(self.values, indent)
+            return
+        pad = "  " * indent
+        keys = ",\n".join(f"{pad}    {json.dumps(h).replace('%', '%%')}: %s" for h in self.header)
+        record, sep = f"{pad}  {{\n{keys}\n{pad}  }}", "[\n"
+        for rows in self._row_blocks(self.text):
+            yield sep + ",\n".join(map(record.__mod__, rows))
+            sep = ",\n"
+        yield f"\n{pad}]"
+
+
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _csv_fields(cells: list[str]) -> list[str]:
+    """cells as CSV fields: quoted, with quotes doubled, where they hold a
+    comma, a quote or a line break (the :mod:`csv` default dialect)."""
+    if not any(map(_CSV_SPECIAL.search, set(cells))):
+        return cells
+    return ['"%s"' % c.replace('"', '""') if _CSV_SPECIAL.search(c) else c for c in cells]
+
+
+def _json_parts(obj, indent: int = 0) -> Iterator:
+    """The text of :func:`render_json` in order: strings, rendered and
+    checked as they come, and for each :class:`Table` a lazy iterator of
+    strings, its values being checked already.  A float array renders as
+    nested lists, each innermost one in bulk."""
+    pad = "  " * indent
+    float_array = getattr(obj, "ndim", 0) > 0 and obj.dtype.kind == "f"
+    if isinstance(obj, Table):
+        yield obj.json_blocks(indent)
+    elif isinstance(obj, float):
+        yield format_float(obj)
+    elif obj is None or isinstance(obj, (bool, int, str)):
+        yield json.dumps(obj)
+    elif getattr(obj, "shape", None) == ():
+        # a numpy scalar (np.bool_, np.int64, np.float32, ...) as its Python value
+        yield from _json_parts(obj.item(), indent)
+    elif float_array and obj.ndim == 1 and len(obj):
+        body = f",\n{pad}  ".join(format_floats(obj))
+        yield f"[\n{pad}  {body}\n{pad}]"
+    elif isinstance(obj, (dict, list, tuple)) or float_array:
+        if isinstance(obj, dict):
+            items, brackets = ((f"{json.dumps(str(k))}: ", v) for k, v in obj.items()), "{}"
+        else:
+            items, brackets = (("", item) for item in obj), "[]"
+        sep = brackets[0] + "\n"
+        for prefix, value in items:
+            yield f"{sep}{pad}  {prefix}"
+            yield from _json_parts(value, indent + 1)
+            sep = ",\n"
+        yield f"\n{pad}{brackets[1]}" if len(obj) else brackets
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
 def render_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with floats through :func:`format_float`."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = ",\n".join(
-            f"{pad}  {json.dumps(str(key))}: {render_json(value, indent + 1)}"
-            for key, value in obj.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = ",\n".join(f"{pad}  {render_json(item, indent + 1)}" for item in obj)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(int(obj))
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    if getattr(obj, "shape", None) == ():
-        # a numpy scalar (np.bool_, np.int64, np.float32, ...) as its Python value
-        return render_json(obj.item(), indent)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    return "".join(p if isinstance(p, str) else "".join(p) for p in _json_parts(obj, indent))
 
 
-def _write_text(path: str, text: str) -> None:
+@contextmanager
+def _opened(path: str) -> Iterator[TextIO]:
+    """The one way an output file opens; an OSError exits 2 naming the path."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise CLIError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path: str, rows: Sequence[Sequence[str]]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-    except OSError as exc:
-        raise CLIError(f"cannot write {path}: {exc}") from exc
+def _write(out: str, fmt: str, payload, key: Optional[str] = None) -> None:
+    """The one writer: the :class:`Table` ``payload[key]`` as CSV rows, or
+    ``payload`` as JSON.  Tables are checked when built, and the rest of a
+    JSON payload renders here, so every value is checked before the file
+    opens; the tables are then formatted and written a block at a time."""
+    parts = [payload[key].csv_blocks()] if fmt == "csv" else list(_json_parts(payload)) + ["\n"]
+    with _opened(out) as fh:
+        for part in parts:
+            fh.writelines([part] if isinstance(part, str) else part)
 
 
 def _parse_index(p: int, q: int) -> PQIndex:
@@ -181,11 +270,7 @@ def _load_grid_csv(path: str) -> GridSample:
                 )
             values[i, j] = table[(r, theta)][1]
     try:
-        return GridSample(
-            radial_nodes=np.array(r_nodes),
-            angular_nodes=np.array(theta_nodes),
-            values=values,
-        )
+        return GridSample(np.array(r_nodes), np.array(theta_nodes), values)
     except ValueError as exc:
         raise CLIError(f"{path}: {exc}") from exc
 
@@ -215,23 +300,25 @@ def _resolve_input(spec: str) -> tuple[Callable[[float, float], complex], str]:
         if match:
             idx = _parse_index(int(match.group(1)), int(match.group(2)))
             return basis_function(idx), spec
-        raise CLIError(
-            f"unknown builtin '{name}' (available: phi_P_Q, radial_bump, one)"
-        )
+        raise CLIError(f"unknown builtin '{name}' (available: phi_P_Q, radial_bump, one)")
     return grid_interpolant(_load_grid_csv(spec)), spec
 
 
-def _grid_rows(sample_r, sample_theta, values) -> list[list[str]]:
-    """CSV rows r,theta,re,im; each node coordinate is formatted once."""
-    theta_text = [format_float(theta) for theta in sample_theta]
-    rows = [["r", "theta", "re", "im"]]
-    for r, row in zip(sample_r, values.tolist()):
-        r_text = format_float(r)
-        rows += [
-            [r_text, theta, format_float(value.real), format_float(value.imag)]
-            for theta, value in zip(theta_text, row)
-        ]
-    return rows
+def _grid_table(r, theta, values) -> Table:
+    """r, theta, re, im per node of a polar grid, theta varying fastest;
+    each node coordinate is formatted once."""
+    theta_text = format_floats(theta)
+    r_column = [text for text in format_floats(r) for _ in theta_text]
+    re_im = values.reshape(-1, 1).view(float)  # each complex128 cell as a row (re, im)
+    return Table(["r", "theta", "re", "im"], [r_column, theta_text * len(r)], re_im)
+
+
+def _coefficient_table(table: ExpansionTable) -> Table:
+    """p, q, re, im per coefficient, in index order."""
+    items = table.items()
+    p = [str(idx.p) for idx, _ in items]
+    q = [str(idx.q) for idx, _ in items]
+    return Table(["p", "q", "re", "im"], [p, q], [(c.real, c.imag) for _, c in items])
 
 
 # -- subcommands -----------------------------------------------------------
@@ -246,25 +333,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     r, theta = polar_grid(n_radial, n_angular)
     form = jacobi_form(idx)
-    values = np.outer(
-        form.radial_value(r), np.exp(1j * form.angular_frequency * theta)
-    )
+    values = np.outer(form.radial_value(r), np.exp(1j * form.angular_frequency * theta))
+    payload = {"p": idx.p, "q": idx.q, "grid": _grid_table(r, theta, values)}
     out = args.out or f"phi_{idx.p}_{idx.q}_grid.{args.format}"
-    if args.format == "csv":
-        _write_csv(out, _grid_rows(r, theta, values))
-    else:
-        records = [
-            {
-                "r": float(ri),
-                "theta": float(tj),
-                "re": float(values[i, j].real),
-                "im": float(values[i, j].imag),
-            }
-            for i, ri in enumerate(r)
-            for j, tj in enumerate(theta)
-        ]
-        payload = {"p": idx.p, "q": idx.q, "grid": records}
-        _write_text(out, render_json(payload) + "\n")
+    _write(out, args.format, payload, "grid")
     print(f"wrote {out} ({n_radial}x{n_angular} polar grid of phi_{idx.p}_{idx.q})")
     return 0
 
@@ -297,7 +369,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise CLIError(f"p + q must be <= {MAX_TABLE_SUM} (limit on exact work)")
     text = rodrigues(idx).to_text()
     if args.out:
-        _write_text(args.out, text + "\n")
+        with _opened(args.out) as fh:
+            fh.write(text + "\n")
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -327,6 +400,10 @@ def _sign_mismatches(indices: Sequence[PQIndex]) -> list[float]:
     return out
 
 
+def _failures(bad: list[PQIndex], **counts: int) -> dict:
+    return {"pass": not bad, **counts, "failures": [[i.p, i.q] for i in bad]}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_sum < 2:
         raise CLIError("max_sum must be >= 2")
@@ -336,7 +413,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     indices = basis_indices(args.max_sum)
 
-    route_bad = [i for i in indices if rodrigues(i) != radial_sum(i)]
+    route_bad = [
+        i for i in indices if not rodrigues_profile(i).same_polynomial(radial_sum_profile(i))
+    ]
     eigen_bad = [i for i in indices if not eigencheck(i)]
     boundary_bad = []
     for idx in indices:
@@ -356,28 +435,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     matrix = gram(indices)
     off_diag = matrix.max_off_diagonal()
-    diag_err = float(
-        max(
-            abs(matrix.entries[i, i] - norm_sq(idx)) / norm_sq(idx)
-            for i, idx in enumerate(matrix.indices)
-        )
+    diag_err = max(
+        abs(matrix.entries[i, i] - norm_sq(idx)) / norm_sq(idx) for i, idx in enumerate(indices)
     )
     gram_ok = bool(off_diag < 1e-11 and diag_err < 1e-12)
 
     checks = {
-        "route_equivalence": {
-            "pass": not route_bad,
-            "indices_checked": len(indices),
-            "failures": [[i.p, i.q] for i in route_bad],
-        },
-        "eigenrelation": {
-            "pass": not eigen_bad,
-            "failures": [[i.p, i.q] for i in eigen_bad],
-        },
-        "boundary_vanishing": {
-            "pass": not boundary_bad,
-            "failures": [[i.p, i.q] for i in boundary_bad],
-        },
+        "route_equivalence": _failures(route_bad, indices_checked=len(indices)),
+        "eigenrelation": _failures(eigen_bad),
+        "boundary_vanishing": _failures(boundary_bad),
         "jacobi_sign": {"pass": sign_ok, "max_mismatch": worst_mismatch},
         "gram_diagonality": {
             "pass": gram_ok,
@@ -393,7 +459,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "all_pass": all_pass,
     }
     out = args.out or "verify_report.json"
-    _write_text(out, render_json(report) + "\n")
+    _write(out, "json", report)
     for name, check in checks.items():
         print(f"{name}: {'pass' if check['pass'] else 'FAIL'}")
     print(f"wrote {out}")
@@ -410,22 +476,14 @@ def cmd_gram(args: argparse.Namespace) -> int:
     indices = basis_indices(args.max_sum)
     matrix = gram(indices)
     labels = [f"{idx.p},{idx.q}" for idx in indices]
+    payload = {
+        "indices": [[idx.p, idx.q] for idx in indices],
+        "entries": Table(["index"] + labels, [labels], matrix.entries, records=False),
+    }
     out = args.out or f"gram_{args.max_sum}.{args.format}"
-    if args.format == "csv":
-        rows = [["index"] + labels]
-        for i, label in enumerate(labels):
-            rows.append([label] + [format_float(x) for x in matrix.entries[i]])
-        _write_csv(out, rows)
-    else:
-        payload = {
-            "indices": [[idx.p, idx.q] for idx in indices],
-            "entries": matrix.entries.tolist(),
-        }
-        _write_text(out, render_json(payload) + "\n")
-    print(
-        f"wrote {out} ({len(labels)}x{len(labels)}); "
-        f"max off-diagonal {format_float(matrix.max_off_diagonal())}"
-    )
+    _write(out, args.format, payload, "entries")
+    off_diagonal = format_float(matrix.max_off_diagonal())
+    print(f"wrote {out} ({len(labels)}x{len(labels)}); max off-diagonal {off_diagonal}")
     return 0
 
 
@@ -453,112 +511,47 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
     estimate = moment_ladder(args.m, args.n, ladder or DEFAULT_EPS_LADDER)
     slope = moment_slope(estimate)
+    ladder = Table(["eps", "value"], [], list(zip(estimate.cutoffs, estimate.values)))
+    payload = {"m": args.m, "n": args.n, "ladder": ladder, "slope": slope}
     out = args.out or f"moments_{args.m}_{args.n}.{args.format}"
-    if args.format == "csv":
-        rows = [["eps", "value"]]
-        rows += [
-            [format_float(eps), format_float(value)]
-            for eps, value in zip(estimate.cutoffs, estimate.values)
-        ]
-        _write_csv(out, rows)
-    else:
-        payload = {
-            "m": args.m,
-            "n": args.n,
-            "ladder": [
-                {"eps": eps, "value": value}
-                for eps, value in zip(estimate.cutoffs, estimate.values)
-            ],
-            "slope": slope,
-        }
-        _write_text(out, render_json(payload) + "\n")
+    _write(out, args.format, payload, "ladder")
     print(f"wrote {out}; slope vs ln(1/eps): {format_float(slope)}")
     return 0
 
 
-def _coefficient_records(table: ExpansionTable) -> list[dict]:
-    return [
-        {"p": idx.p, "q": idx.q, "re": c.real, "im": c.imag}
-        for idx, c in table.items()
-    ]
-
-
-def _write_table(out: str, fmt: str, payload: dict, table: ExpansionTable) -> None:
-    if fmt == "csv":
-        rows = [["p", "q", "re", "im"]]
-        rows += [
-            [str(idx.p), str(idx.q), format_float(c.real), format_float(c.imag)]
-            for idx, c in table.items()
-        ]
-        _write_csv(out, rows)
-    else:
-        _write_text(out, render_json(payload) + "\n")
-
-
-def _expansion_grid(args: argparse.Namespace) -> Optional[tuple[int, int]]:
-    """Check ``--trunc`` and parse ``--grid`` of expand and solve up front."""
+def cmd_expansion(args: argparse.Namespace) -> int:
+    """``expand`` (coefficients of the input) and ``solve`` (of the weighted
+    Poisson solution), each optionally with its reconstruction on a grid."""
     if args.trunc < 2:
         raise CLIError("--trunc must be >= 2")
     if args.trunc > MAX_TRUNC:
         raise CLIError(f"--trunc must be <= {MAX_TRUNC} (limit on float work)")
-    return _parse_grid_spec(args.grid) if args.grid else None
-
-
-def _maybe_write_grid(grid: Optional[tuple[int, int]], out: str, table: ExpansionTable) -> None:
-    if grid is None:
-        return
-    from .transform import polar_grid, reconstruct
-
-    r, theta = polar_grid(*grid)
-    sample = reconstruct(table, r, theta)
-    grid_out = re.sub(r"\.[^.]*$", "", out) + "_grid.csv"
-    _write_csv(grid_out, _grid_rows(r, theta, sample.values))
-    print(f"wrote {grid_out}")
-
-
-def cmd_expand(args: argparse.Namespace) -> int:
-    grid = _expansion_grid(args)
-    from .transform import boundary_value_check, expand, expansion_residual, rim_amplitude
+    grid = _parse_grid_spec(args.grid) if args.grid else None
+    from . import transform
 
     f, label = _resolve_input(args.input)
-    table = expand(f, args.trunc)
-    out = args.out or ("expansion.json" if args.format == "json" else "expansion.csv")
-    payload = {
-        "input": label,
-        "truncation": args.trunc,
-        "coefficients": _coefficient_records(table),
-    }
-    rim = rim_amplitude(f, 256)
+    solve = args.command == "solve"
+    table = (transform.solve_weighted_poisson if solve else transform.expand)(f, args.trunc)
+    payload = {"input": label, "truncation": args.trunc, "coefficients": _coefficient_table(table)}
+    summary = ""
+    rim = 0.0 if solve else transform.rim_amplitude(f, 256)
     if rim > RIM_TOLERANCE:
         # the weighted norm of f - partial sum is infinite; print no number for it
         payload.update(l2_residual=None, l2_residual_divergent=True, rim_amplitude=rim)
-        summary = f"L2 residual divergent (rim amplitude {format_float(rim)})"
-    else:
-        payload["l2_residual"] = expansion_residual(f, table)
-        summary = f"L2 residual {format_float(payload['l2_residual'])}"
-    payload["boundary_max"] = boundary_value_check(table, 256)
-    _write_table(out, args.format, payload, table)
-    print(f"wrote {out}; {summary}")
-    _maybe_write_grid(grid, out, table)
-    return 0
-
-
-def cmd_solve(args: argparse.Namespace) -> int:
-    grid = _expansion_grid(args)
-    from .transform import boundary_value_check, solve_weighted_poisson
-
-    f, label = _resolve_input(args.input)
-    table = solve_weighted_poisson(f, args.trunc)
-    out = args.out or ("solution.json" if args.format == "json" else "solution.csv")
-    payload = {
-        "input": label,
-        "truncation": args.trunc,
-        "coefficients": _coefficient_records(table),
-        "boundary_max": boundary_value_check(table, 256),
-    }
-    _write_table(out, args.format, payload, table)
-    print(f"wrote {out}")
-    _maybe_write_grid(grid, out, table)
+        summary = f"; L2 residual divergent (rim amplitude {format_float(rim)})"
+    elif not solve:
+        payload["l2_residual"] = transform.expansion_residual(f, table)
+        summary = f"; L2 residual {format_float(payload['l2_residual'])}"
+    payload["boundary_max"] = transform.boundary_value_check(table, 256)
+    out = args.out or f"{'solution' if solve else 'expansion'}.{args.format}"
+    _write(out, args.format, payload, "coefficients")
+    print(f"wrote {out}{summary}")
+    if grid:
+        r, theta = transform.polar_grid(*grid)
+        sample = transform.reconstruct(table, r, theta)
+        grid_out = os.path.splitext(out)[0] + "_grid.csv"
+        _write(grid_out, "csv", {"grid": _grid_table(r, theta, sample.values)}, "grid")
+        print(f"wrote {grid_out}")
     return 0
 
 
@@ -606,25 +599,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_moments = sub.add_parser("moments", help="divergent-moment cutoff ladder")
     p_moments.add_argument("m", type=int)
     p_moments.add_argument("n", type=int)
-    p_moments.add_argument(
-        "--eps-ladder", help="comma-separated cutoffs, e.g. 1e-2,1e-3,1e-4"
-    )
+    p_moments.add_argument("--eps-ladder", help="comma-separated cutoffs, e.g. 1e-2,1e-3,1e-4")
     add_common(p_moments, "csv")
     p_moments.set_defaults(func=cmd_moments)
 
-    for name, handler, blurb in (
-        ("expand", cmd_expand, "expand a disk function in the basis"),
-        ("solve", cmd_solve, "solve the weighted Poisson problem"),
+    for name, blurb in (
+        ("expand", "expand a disk function in the basis"),
+        ("solve", "solve the weighted Poisson problem"),
     ):
         p_cmd = sub.add_parser(name, help=blurb)
         p_cmd.add_argument(
-            "input",
-            help="builtin:phi_P_Q | builtin:radial_bump | builtin:one | grid CSV path",
+            "input", help="builtin:phi_P_Q | builtin:radial_bump | builtin:one | grid CSV path"
         )
         p_cmd.add_argument("--trunc", type=int, default=8, help="max p+q (default 8)")
         p_cmd.add_argument("--grid", help="also write a NRxNT reconstruction grid")
         add_common(p_cmd, "json")
-        p_cmd.set_defaults(func=handler)
+        p_cmd.set_defaults(func=cmd_expansion)
 
     return parser
 
@@ -637,10 +627,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:

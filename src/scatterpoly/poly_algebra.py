@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, zip_longest
 from operator import mul, sub
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -340,6 +340,13 @@ class WProfile:
                 acc = acc * a_sq + weight
             numerators.append(a**m * acc)
         return numerators, self.den * radius_den ** (2 * top + m)
+
+    def same_polynomial(self, other: "WProfile") -> bool:
+        """Exact equality whatever the denominators: coefficients equal after
+        cross-multiplying (a missing one is 0), frequencies equal unless zero."""
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        same = all(a * other.den == b * self.den for a, b in pairs)
+        return same and (self.n == other.n or not any(self.coeffs))
 
     def to_poly(self) -> BivariatePoly:
         """The same polynomial in the general ring."""

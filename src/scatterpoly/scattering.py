@@ -159,9 +159,8 @@ def rodrigues(idx: PQIndex) -> BivariatePoly:
     return rodrigues_profile(idx).to_poly()
 
 
-@lru_cache(maxsize=None)
-def radial_sum(idx: PQIndex) -> BivariatePoly:
-    """phi^(p,q) as an explicit binomial-coefficient sum.
+def radial_sum_profile(idx: PQIndex) -> WProfile:
+    """phi^(p,q) as an explicit binomial-coefficient sum, an integer w-profile.
 
     Expanding (1 - z*zbar)^(p+q-1) binomially and differentiating each
     monomial in closed form gives
@@ -170,10 +169,16 @@ def radial_sum(idx: PQIndex) -> BivariatePoly:
             (-1)^(p+k) C(p+q-1, k) (k!)^2
             / (q (p+q-1)! (k-p)! (k-q)!) * z^(k-p) zbar^(k-q)
 
-    with every coefficient an exact rational; it shares only the profile
-    product with (1 - z*zbar) and the conversion with the other route.
+    with every coefficient an exact rational; it shares with the other route
+    only the profile product with (1 - z*zbar).
     """
-    return _sum_kernel(idx).times_boundary().to_poly()
+    return _sum_kernel(idx).times_boundary()
+
+
+@lru_cache(maxsize=None)
+def radial_sum(idx: PQIndex) -> BivariatePoly:
+    """phi^(p,q) from :func:`radial_sum_profile`, in the general ring."""
+    return radial_sum_profile(idx).to_poly()
 
 
 def _sum_kernel(idx: PQIndex) -> WProfile:

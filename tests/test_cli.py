@@ -1,11 +1,13 @@
 """End-to-end command line tests: every command through main(argv)."""
 
 import csv
+import io
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +21,12 @@ from scatterpoly.cli import (
     MAX_TRUNC,
     MAX_VERIFY_SUM,
     NonFiniteOutputError,
-    _grid_rows,
+    Table,
+    _grid_table,
     _resolve_input,
     _sign_mismatches,
     format_float,
+    format_floats,
     main,
     render_json,
 )
@@ -63,6 +67,17 @@ def write_grid_csv(path, f, n_radial, n_angular):
                 writer.writerow([repr(r), repr(theta), repr(value.real), repr(value.imag)])
 
 
+def table_rows(table):
+    """A table's CSV rows as the writer emits them, header first."""
+    text = "".join(table.csv_blocks())
+    assert text.endswith("\r\n")
+    return list(csv.reader(io.StringIO(text)))
+
+
+#: Values whose rendering is easy to get wrong: signed zeros, subnormals, extremes.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308]
+
+
 class TestGridRows:
     def test_matches_per_cell_formatting(self):
         rng = np.random.default_rng(5)
@@ -70,20 +85,21 @@ class TestGridRows:
         theta = np.concatenate([[0.0], rng.uniform(0, 7, 6)])
         values = rng.normal(size=(5, 7)) + 1j * rng.normal(size=(5, 7))
         values[0, 0] = complex(-0.0, -0.0)
+        values[1, :] = [complex(x, -x) for x in SPECIAL_FLOATS]
         expected = [["r", "theta", "re", "im"]] + [
             [format_float(r[i]), format_float(theta[j]),
              format_float(values[i, j].real), format_float(values[i, j].imag)]
             for i in range(5)
             for j in range(7)
         ]
-        assert _grid_rows(r, theta, values) == expected
+        assert table_rows(_grid_table(r, theta, values)) == expected
 
     @pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf)])
     def test_refuses_non_finite_cell(self, bad):
         values = np.zeros((2, 3), dtype=complex)
         values[1, 2] = bad
         with pytest.raises(NonFiniteOutputError):
-            _grid_rows(np.array([0.0, 0.5]), np.array([0.0, 1.0, 2.0]), values)
+            _grid_table(np.array([0.0, 0.5]), np.array([0.0, 1.0, 2.0]), values)
 
 
 class TestFormatting:
@@ -92,6 +108,25 @@ class TestFormatting:
 
     def test_seventeen_digits(self):
         assert format_float(math.pi) == "3.1415926535897931"
+
+    def test_bulk_formatting_matches_per_value(self):
+        values = SPECIAL_FLOATS + [math.pi, -1 / 3, 1e-300, 123456789.0, 2.0**-1074 * 3]
+        assert format_floats(values) == [format_float(x) for x in values]
+        assert format_floats(np.array(values).reshape(3, 4)) == [format_float(x) for x in values]
+
+    def test_csv_quoting_matches_the_csv_module(self):
+        labels = ["1,1", 'say "hi"', "line\nbreak", "cr\r", "plain", ""]
+        table = Table(["index", *labels], [labels], np.zeros((6, 6)), records=False)
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows(
+            [["index", *labels]] + [[label] + ["0"] * 6 for label in labels]
+        )
+        assert "".join(table.csv_blocks()) == expected.getvalue()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_bulk_formatting_rejects_non_finite(self, value):
+        with pytest.raises(NonFiniteOutputError):
+            format_floats([1.0, value])
 
     def test_render_json_sorted_stable(self):
         text = render_json({"b": [1.5, True, None], "a": "x"})
@@ -142,9 +177,9 @@ class TestEval:
 
     def test_byte_identical_reruns(self):
         assert main(["eval", "2", "3"]) == 0
-        first = open("phi_2_3_grid.csv", "rb").read()
+        first = Path("phi_2_3_grid.csv").read_bytes()
         assert main(["eval", "2", "3"]) == 0
-        assert open("phi_2_3_grid.csv", "rb").read() == first
+        assert Path("phi_2_3_grid.csv").read_bytes() == first
 
     def test_rejects_zero_index(self, capsys):
         assert main(["eval", "0", "1"]) == 2
@@ -165,7 +200,7 @@ class TestTable:
 
     def test_writes_file(self, capsys):
         assert main(["table", "1", "1", "--out", "poly.txt"]) == 0
-        assert open("poly.txt").read() == rodrigues(PQIndex(1, 1)).to_text() + "\n"
+        assert Path("poly.txt").read_text() == rodrigues(PQIndex(1, 1)).to_text() + "\n"
 
 
     def test_limit_on_exact_work(self, capsys):
@@ -206,7 +241,7 @@ class TestVerify:
     def test_deterministic_report(self):
         main(["verify", "4", "--out", "a.json"])
         main(["verify", "4", "--out", "b.json"])
-        assert open("a.json", "rb").read() == open("b.json", "rb").read()
+        assert Path("a.json").read_bytes() == Path("b.json").read_bytes()
 
     def test_rejects_small_max_sum(self, capsys):
         assert main(["verify", "1"]) == 2
@@ -326,9 +361,9 @@ class TestExpand:
 
     def test_byte_identical_reruns(self):
         main(["expand", "builtin:phi_1_2", "--trunc", "6"])
-        first = open("expansion.json", "rb").read()
+        first = Path("expansion.json").read_bytes()
         main(["expand", "builtin:phi_1_2", "--trunc", "6"])
-        assert open("expansion.json", "rb").read() == first
+        assert Path("expansion.json").read_bytes() == first
 
     def test_grid_csv_round_trip(self):
         # dense sampled basis function in, near-delta coefficients out; the
@@ -627,3 +662,171 @@ class TestInternalFailures:
             capsys, ["expand", "builtin:phi_1_1", "--trunc", "4"], "NonFiniteOutputError"
         )
         assert not os.path.exists("expansion.json")
+
+
+def reference_rendering(path):
+    """The file's own parsed content rendered again by the reference rules:
+    JSON through render_json, CSV through csv.writer with every numeric cell
+    re-formatted by format_float and every label kept."""
+    text = path.read_bytes().decode("utf-8")
+    if path.suffix == ".json":
+        return render_json(json.loads(text)) + "\n"
+
+    def cell(value):
+        try:
+            return format_float(float(value))
+        except ValueError:
+            return value
+
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows([cell(v) for v in row] for row in csv.reader(io.StringIO(text)))
+    return buffer.getvalue()
+
+
+class TestLayout:
+    """Every output equals the reference rendering of its own content, byte
+    for byte; this holds on any machine, where golden files would not."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "2", "3", "--grid", "3x5"],
+            ["gram", "4"],
+            ["moments", "1", "2"],
+            ["moments", "0", "1", "--eps-ladder", "0.5,1e-3,3e-7"],
+            ["expand", "builtin:radial_bump", "--trunc", "5", "--grid", "3x4"],
+            ["expand", "builtin:one", "--trunc", "4"],
+            ["solve", "builtin:phi_2_3", "--trunc", "5", "--grid", "2x3"],
+        ],
+    )
+    def test_matches_reference_rendering(self, tmp_path, argv, fmt):
+        assert main(argv + ["--format", fmt]) == 0
+        outputs = sorted(tmp_path.iterdir())
+        assert len(outputs) == (2 if "--grid" in argv and argv[0] != "eval" else 1)
+        for path in outputs:
+            assert path.read_bytes().decode("utf-8") == reference_rendering(path)
+
+    def test_verify_matches_reference_rendering(self, tmp_path):
+        assert main(["verify", "5"]) == 0
+        path = tmp_path / "verify_report.json"
+        assert path.read_bytes().decode("utf-8") == reference_rendering(path)
+
+    def test_reference_rendering_sees_a_layout_change(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text('{"a": [1.5]}\n')
+        assert reference_rendering(path) != path.read_text()
+
+
+class TestGridPath:
+    """The reconstruction grid sits next to --out, with its extension replaced."""
+
+    def test_directory_with_a_dot(self, capsys):
+        os.mkdir("res.d")
+        assert main(["solve", "builtin:phi_1_1", "--trunc", "4", "--out", "res.d/solution",
+                     "--grid", "4x4"]) == 0
+        assert "wrote res.d/solution_grid.csv" in capsys.readouterr().out
+        assert sorted(os.listdir("res.d")) == ["solution", "solution_grid.csv"]
+        assert sorted(os.listdir()) == ["res.d"]
+
+    def test_path_without_extension(self):
+        assert main(["expand", "builtin:phi_1_1", "--trunc", "4", "--out", "./expansion",
+                     "--grid", "4x4"]) == 0
+        assert sorted(os.listdir()) == ["expansion", "expansion_grid.csv"]
+
+    def test_extension_is_replaced(self):
+        assert main(["expand", "builtin:phi_1_1", "--trunc", "4", "--out", "a.b.json",
+                     "--grid", "4x4"]) == 0
+        assert sorted(os.listdir()) == ["a.b.json", "a.b_grid.csv"]
+
+
+def poison(array):
+    """A copy of array with one nan in it."""
+    out = np.array(array, dtype=complex if np.iscomplexobj(array) else float)
+    out.flat[min(1, out.size - 1)] = math.nan
+    return out
+
+
+class TestNonFiniteOutputs:
+    """A nan reaching any writer route exits 1 with one line and leaves no
+    file for that output."""
+
+    def assert_refused(self, capsys, argv, missing):
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: internal failure: ")
+        assert "NonFiniteOutputError" in lines[0]
+        assert not os.path.exists(missing)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_eval_grid(self, fmt, capsys, monkeypatch):
+        reference = scattering.RadialForm.radial_value
+        monkeypatch.setattr(
+            scattering.RadialForm, "radial_value", lambda self, r: poison(reference(self, r))
+        )
+        self.assert_refused(capsys, ["eval", "2", "2", "--format", fmt], f"phi_2_2_grid.{fmt}")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["expand", "solve"])
+    def test_reconstruction_grid(self, command, fmt, capsys, monkeypatch):
+        reference = transform.reconstruct
+
+        def poisoned(table, r, theta):
+            sample = reference(table, r, theta)
+            return transform.GridSample(sample.radial_nodes, sample.angular_nodes,
+                                        poison(sample.values))
+
+        monkeypatch.setattr(transform, "reconstruct", poisoned)
+        out = f"result.{fmt}"
+        argv = [command, "builtin:phi_1_1", "--trunc", "4", "--grid", "3x3", "--format", fmt]
+        self.assert_refused(capsys, argv + ["--out", out], "result_grid.csv")
+        assert os.listdir() == [out]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_gram_entries(self, fmt, capsys, monkeypatch):
+        reference = quadrature.gram
+
+        def poisoned(indices):
+            matrix = reference(indices)
+            return quadrature.GramMatrix(matrix.indices, poison(matrix.entries))
+
+        monkeypatch.setattr(quadrature, "gram", poisoned)
+        self.assert_refused(capsys, ["gram", "3", "--format", fmt], f"gram_3.{fmt}")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command,work", [("expand", "expand"),
+                                              ("solve", "solve_weighted_poisson")])
+    def test_one_coefficient(self, command, work, fmt, capsys, monkeypatch):
+        reference = getattr(transform, work)
+
+        def poisoned(f, trunc):
+            table = reference(f, trunc)
+            coefficients = dict(table.coefficients)
+            coefficients[PQIndex(1, 2)] = complex(0.0, math.nan)
+            return transform.ExpansionTable(coefficients, table.truncation)
+
+        monkeypatch.setattr(transform, work, poisoned)
+        self.assert_refused(capsys, [command, "builtin:phi_1_1", "--trunc", "4", "--format", fmt],
+                            f"{'expansion' if command == 'expand' else 'solution'}.{fmt}")
+        assert os.listdir() == []
+
+
+    @pytest.mark.parametrize("command", ["expand", "solve"])
+    def test_json_value_after_the_table(self, command, capsys, monkeypatch):
+        # boundary_max follows the coefficient table in the payload, so it
+        # must be rendered before the file opens, not while it streams
+        monkeypatch.setattr(transform, "boundary_value_check", lambda table, n: math.nan)
+        self.assert_refused(capsys, [command, "builtin:phi_1_1", "--trunc", "4"],
+                            "expansion.json" if command == "expand" else "solution.json")
+        assert os.listdir() == []
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("head", [["gram", "2"], ["eval", "1", "1", "--grid", "2x2"]])
+    def test_missing_directory_exits_2_naming_the_path(self, head, fmt, capsys):
+        out = os.path.join("missing", f"result.{fmt}")
+        assert main(head + ["--format", fmt, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and len(err.splitlines()) == 1
+        assert os.listdir() == []

@@ -1,6 +1,7 @@
 """Construction routes, eigenrelation, basis bookkeeping, sign resolution."""
 
 import cmath
+import json
 import math
 import random
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 from scatterpoly import cli, jacobi, scattering
 from scatterpoly.jacobi import gauss_legendre
-from scatterpoly.poly_algebra import BOUNDARY_FACTOR, BivariatePoly, Z, ZBAR
+from scatterpoly.poly_algebra import BOUNDARY_FACTOR, BivariatePoly, WProfile, Z, ZBAR
 from scatterpoly.quadrature import gram, inner_product_poly_exact
 from scatterpoly.scattering import (
     PQIndex,
@@ -29,6 +30,7 @@ from scatterpoly.scattering import (
     profile_value,
     radial_profile,
     radial_sum,
+    radial_sum_profile,
     radial_sum_values,
     resolved_sign,
     rodrigues,
@@ -154,6 +156,22 @@ class TestCorruptedProfile:
         for pq in ((1, 1), (2, 3), (4, 1)):
             assert not eigencheck(PQIndex(*pq))
 
+    def test_one_unit_fails_the_route_check_at_its_index(self, tmp_path, monkeypatch, capsys):
+        def corrupt(idx):
+            profile = reference(idx)
+            if idx != PQIndex(2, 3):
+                return profile
+            coeffs = profile.coeffs[:1] + (profile.coeffs[1] - 1,) + profile.coeffs[2:]
+            return WProfile(profile.n, coeffs, profile.den)
+
+        reference = scattering.rodrigues_profile
+        monkeypatch.setattr(cli, "rodrigues_profile", corrupt)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", "6"]) == 1
+        assert "route_equivalence: FAIL" in capsys.readouterr().out
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["checks"]["route_equivalence"]["failures"] == [[2, 3]]
+
     def test_verify_fails(self, corrupted, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["verify", "6"]) == 1
@@ -177,6 +195,25 @@ class TestRadialSum:
     def test_equals_rodrigues_exactly(self):
         for idx in basis_indices(10):
             assert radial_sum(idx) == rodrigues(idx)
+
+    def test_profile_routes_agree(self):
+        # the integer comparison that verify runs, for every p + q <= 48
+        for idx in basis_indices(48):
+            assert rodrigues_profile(idx).same_polynomial(radial_sum_profile(idx)), idx
+
+
+class TestSamePolynomial:
+    def test_denominators_cross_multiply(self):
+        assert WProfile(2, (1, -3), 4).same_polynomial(WProfile(2, (3, -9), 12))
+        assert not WProfile(2, (1, -3), 4).same_polynomial(WProfile(2, (3, -8), 12))
+
+    def test_missing_coefficients_are_zero(self):
+        assert WProfile(-1, (5, 0, 0), 1).same_polynomial(WProfile(-1, (5,), 1))
+        assert not WProfile(-1, (5, 0, 1), 1).same_polynomial(WProfile(-1, (5,), 1))
+
+    def test_frequency_counts_unless_zero(self):
+        assert not WProfile(1, (1,), 1).same_polynomial(WProfile(-1, (1,), 1))
+        assert WProfile(1, (0,), 1).same_polynomial(WProfile(-3, (), 7))
 
 
 class TestJacobiForm:
