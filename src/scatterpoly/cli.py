@@ -19,7 +19,8 @@ cannot be written.
 Import boundary: this module loads only the exact layer.  Each float
 command imports numpy and the float layers it uses when it runs, after
 its arguments have passed every check, so ``table``, ``--help``, usage
-errors and size-limit exits never import numpy.
+errors and size-limit exits never import numpy (an input file or builtin
+is checked as it is read, once numpy is loaded).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .scattering import (
     SignValidationError,
     basis_indices,
     eigencheck,
+    factored_deviation,
     jacobi_form,
     mode_kernels,
     norm_sq,
@@ -62,23 +64,14 @@ class NonFiniteOutputError(ArithmeticError):
 
 
 def format_float(x: float) -> str:
-    """Fixed 17-significant-digit rendering; -0.0 collapses to 0.
-
-    Refuses nan and infinities with :class:`NonFiniteOutputError`, so
-    neither can reach an output file.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise NonFiniteOutputError(f"refusing to output non-finite value {x}")
-    if x == 0.0:
-        x = 0.0
-    return "%.17g" % x
+    """One value through :func:`format_floats`."""
+    return format_floats(x)[0]
 
 
 def format_floats(a) -> list[str]:
-    """:func:`format_float` of every value of a float array, in flat order:
-    one finiteness check, then ``"%.17g"`` over the values plus 0.0 (which
-    turns -0.0 into 0)."""
+    """Every value of a float array at 17 significant digits, in flat order:
+    one finiteness check (nan or an infinity raises :class:`NonFiniteOutputError`),
+    then ``"%.17g"`` over the values plus 0.0 (which turns -0.0 into 0)."""
     return list(map("%.17g".__mod__, (_finite(a).ravel() + 0.0).tolist()))
 
 
@@ -205,11 +198,14 @@ def _write(out: str, fmt: str, payload, key: Optional[str] = None) -> None:
             fh.writelines([part] if isinstance(part, str) else part)
 
 
-def _parse_index(p: int, q: int) -> PQIndex:
+def _parse_index(p: int, q: int, max_sum: int, work: str) -> PQIndex:
     try:
-        return PQIndex(p, q)
+        idx = PQIndex(p, q)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
+    if p + q > max_sum:
+        raise CLIError(f"p + q must be <= {max_sum} (limit on {work} work)")
+    return idx
 
 
 def _parse_grid_spec(spec: str) -> tuple[int, int]:
@@ -298,7 +294,7 @@ def _resolve_input(spec: str) -> tuple[Callable[[float, float], complex], str]:
             return (lambda r, theta: (1.0 - r * r) * (1.0 - r * r) + 0j), spec
         match = _BUILTIN_PATTERN.fullmatch(name)
         if match:
-            idx = _parse_index(int(match.group(1)), int(match.group(2)))
+            idx = _parse_index(int(match.group(1)), int(match.group(2)), MAX_TRUNC, "float")
             return basis_function(idx), spec
         raise CLIError(f"unknown builtin '{name}' (available: phi_P_Q, radial_bump, one)")
     return grid_interpolant(_load_grid_csv(spec)), spec
@@ -325,15 +321,12 @@ def _coefficient_table(table: ExpansionTable) -> Table:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    idx = _parse_index(args.p, args.q)
+    idx = _parse_index(args.p, args.q, MAX_TRUNC, "float")
     n_radial, n_angular = _parse_grid_spec(args.grid)
-    import numpy as np
-
     from .transform import polar_grid
 
     r, theta = polar_grid(n_radial, n_angular)
-    form = jacobi_form(idx)
-    values = np.outer(form.radial_value(r), np.exp(1j * form.angular_frequency * theta))
+    values = jacobi_form(idx).value(r[:, None], theta[None, :])
     payload = {"p": idx.p, "q": idx.q, "grid": _grid_table(r, theta, values)}
     out = args.out or f"phi_{idx.p}_{idx.q}_grid.{args.format}"
     _write(out, args.format, payload, "grid")
@@ -348,7 +341,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 #: the exact work grows about cubically in p + q.
 MAX_TABLE_SUM = 1000
 MAX_VERIFY_SUM = 64
-#: Largest ``expand``/``solve --trunc``.
+#: Largest ``expand``/``solve --trunc``, and p + q of ``eval P Q`` and of
+#: ``builtin:phi_P_Q``, whose first lookup checks its mode's members up to it.
 MAX_TRUNC = 128
 #: Largest ``gram N``: its matrix holds (N(N-1)/2)^2 float64 entries, 32 MB
 #: at 64, and its output rows take several times that.
@@ -364,9 +358,7 @@ RIM_TOLERANCE = 1e-6
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    idx = _parse_index(args.p, args.q)
-    if idx.p + idx.q > MAX_TABLE_SUM:
-        raise CLIError(f"p + q must be <= {MAX_TABLE_SUM} (limit on exact work)")
+    idx = _parse_index(args.p, args.q, MAX_TABLE_SUM, "exact")
     text = rodrigues(idx).to_text()
     if args.out:
         with _opened(args.out) as fh:
@@ -388,16 +380,13 @@ def _sign_mismatches(indices: Sequence[PQIndex]) -> list[float]:
     import numpy as np
 
     r = np.array(_VERIFY_RADII) / _VERIFY_RADIUS_DEN
-    out = [0.0] * len(indices)
+    out = np.empty(len(indices))
     for _, positions, kernel in mode_kernels(indices, r):
-        approx = (1.0 - r * r)[:, None] * kernel
-        for column, k in enumerate(positions):
-            profile = rodrigues_profile(indices[k])
-            numerators, den = profile.numerators_at(_VERIFY_RADII, _VERIFY_RADIUS_DEN)
-            exact = np.array([num / den for num in numerators])
-            scale = max(1.0, float(np.max(np.abs(exact))))
-            out[k] = float(np.max(np.abs(approx[:, column] - exact))) / scale
-    return out
+        profiles = (rodrigues_profile(indices[k]) for k in positions)
+        exact = (profile.numerators_at(_VERIFY_RADII, _VERIFY_RADIUS_DEN) for profile in profiles)
+        deviation, scale = factored_deviation(r, kernel, exact)
+        out[positions] = deviation / scale
+    return out.tolist()
 
 
 def _failures(bad: list[PQIndex], **counts: int) -> dict:

@@ -18,12 +18,13 @@ form of math_notes section 2.1; the printed rule (-1)^(q + max{p,q}) is
 wrong whenever max{p,q} is even.  Every form is checked once, a mode at a
 time, against the binomial sum evaluated exactly in integers, so the
 float routes never build a Rodrigues polynomial; ``verify`` and the tests
-compare the forms with the Rodrigues route itself.
+compare the forms with the Rodrigues route itself.  Both comparisons
+measure the deviation by one function, :func:`factored_deviation`.
 
 Import boundary: the exact half of this module needs neither numpy nor
 :mod:`scatterpoly.jacobi`.  The float members (the :class:`RadialForm`
-methods, :func:`jacobi_form`, :func:`mode_kernels`) import them when
-called.
+methods, :func:`jacobi_form`, :func:`mode_kernels`,
+:func:`factored_deviation`) import them when called.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from typing import TYPE_CHECKING, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 from .poly_algebra import BOUNDARY_FACTOR, BivariatePoly, WProfile
 
@@ -227,14 +228,25 @@ def profile_value(profile: dict[int, Fraction], r: Fraction) -> Fraction:
 def radial_sum_values(idx: PQIndex, radii: Sequence[int]) -> tuple[list[int], int]:
     """Exact radial values of phi^(p,q) at the dyadic radii r = a/1024.
 
-    The binomial sum of :func:`radial_sum` in Python integers: one
-    numerator per radius over the common denominator q (p+q-1)! 1024^(p+q),
-    so each value rounds to a double by one int / int division.
+    :func:`radial_sum_profile` evaluated in Python integers: one numerator
+    per radius over the common denominator q (p+q-1)! 1024^(p+q), so each
+    value rounds to a double by one int / int division.
     """
-    # the factor (1 - r^2) = (1024^2 - a^2) / 1024^2 is applied per radius
-    numerators, den = _sum_kernel(idx).numerators_at(radii, _RADIUS_DEN)
-    den_sq = _RADIUS_DEN * _RADIUS_DEN
-    return [(den_sq - a * a) * num for a, num in zip(radii, numerators)], den * den_sq
+    return radial_sum_profile(idx).numerators_at(radii, _RADIUS_DEN)
+
+
+def factored_deviation(
+    r: np.ndarray, kernel: np.ndarray, exact: Iterable[tuple[list[int], int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per column j: the largest deviation of (1 - r^2) * kernel[:, j] from
+    the exact values at r that ``exact`` gives as integer numerators over one
+    denominator (each rounded to a double), and the scale max(1, max |exact|)."""
+    import numpy as np
+
+    approx = (1.0 - r * r)[:, None] * kernel
+    values = np.array([[num / den for num in numerators] for numerators, den in exact]).T
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=0))
+    return np.max(np.abs(approx - values), axis=0), scale
 
 
 #: Dyadic radii per angular mode in the construction-time check.
@@ -246,9 +258,9 @@ def _check_mode(n: int, nus: range) -> list[RadialForm]:
 
     Prefactor (-1)^(q+1) * max{p,q}/q (docs/math_notes.md section 2.1).
     One seeded set of dyadic radii serves the mode: one kernel table there
-    against each member's exact binomial sum (:func:`radial_sum_values`).
-    A deviation beyond 1e-12 of a member's scale raises
-    :class:`SignValidationError` naming it: a bug, not a convention issue.
+    against each member's exact binomial sum (:func:`radial_sum_values`)
+    by :func:`factored_deviation`; beyond 1e-12 of a member's scale it raises
+    :class:`SignValidationError` naming the member: a bug, not a convention issue.
     """
     import numpy as np
 
@@ -259,12 +271,9 @@ def _check_mode(n: int, nus: range) -> list[RadialForm]:
     forms = [RadialForm((-1) ** (i.q + 1) * (max(i.p, i.q) / i.q), i.m, i.nu, n) for i in members]
     radii = sorted(random.Random(f"mode {n}").sample(range(1, _RADIUS_DEN), _CHECK_RADII))
     r = np.array(radii) / _RADIUS_DEN
-    approx = (1.0 - r * r)[:, None] * next(radial_kernels([_columns(forms)], r))
-    sums = (radial_sum_values(idx, radii) for idx in members)
-    exact = np.array([[num / den for num in numerators] for numerators, den in sums]).T
-    scale = np.maximum(1.0, np.max(np.abs(exact), axis=0))
-    bad = np.max(np.abs(approx - exact), axis=0) > 1e-12 * scale
-    for idx, failed in zip(members, bad.tolist()):
+    kernel = next(radial_kernels([_columns(forms)], r))
+    deviation, scale = factored_deviation(r, kernel, (radial_sum_values(i, radii) for i in members))
+    for idx, failed in zip(members, (deviation > 1e-12 * scale).tolist()):
         if failed:
             raise SignValidationError(
                 f"closed-form factored route disagrees with the exact polynomial for {idx}"

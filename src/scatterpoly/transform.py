@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -89,8 +89,7 @@ def polar_grid(n_radial: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
 
 def basis_function(idx: PQIndex) -> DiskFunction:
     """phi^(idx) as a plain callable on (r, theta)."""
-    form = jacobi_form(idx)
-    return form.value
+    return jacobi_form(idx).value
 
 
 def expand(
@@ -119,14 +118,14 @@ def expand(
 def _synthesize(table: ExpansionTable, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Partial sum on the tensor grid r x theta, one column of A per mode."""
     items = table.items()
-    indices = [idx for idx, _ in items]
     coeffs = np.array([c for _, c in items])
-    freqs = np.array(sorted({idx.angular_frequency for idx in indices}), dtype=float)
-    radial = np.empty((r.size, freqs.size), dtype=complex)
-    for k, (_, positions, kernel) in enumerate(mode_kernels(indices, r)):
+    ns, columns = [], []
+    for n, positions, kernel in mode_kernels([idx for idx, _ in items], r):
         # the (1 - r^2) factor stays explicit, so the sum is 0 at r = 1 exactly
-        radial[:, k] = (1.0 - r * r) * (kernel @ coeffs[positions])
-    return radial @ np.exp(1j * freqs[:, None] * theta[None, :])
+        ns.append(n)
+        columns.append((1.0 - r * r) * (kernel @ coeffs[positions]))
+    radial = np.array(columns, dtype=complex).reshape(len(ns), r.size).T
+    return radial @ np.exp(1j * np.array(ns, dtype=float)[:, None] * theta[None, :])
 
 
 def reconstruct(
@@ -193,11 +192,7 @@ def synthesize_exact(table: ExpansionTable) -> BivariatePoly:
     to the exact basis polynomials keeps the whole synthesis rational, so
     solver residuals can be checked to literal zero.
     """
-    total = BivariatePoly.zero()
-    for idx, c in table.items():
-        scalar = ComplexRational(Fraction(c.real), Fraction(c.imag))
-        total = total + radial_sum(idx) * scalar
-    return total
+    return _exact_sum(table, lambda idx: 1)
 
 
 def solve_exact(f_table: ExpansionTable) -> BivariatePoly:
@@ -207,9 +202,14 @@ def solve_exact(f_table: ExpansionTable) -> BivariatePoly:
     applying the weighted Laplacian to the result and negating returns the
     synthesized f-polynomial with zero residual, literally.
     """
+    return _exact_sum(f_table, lambda idx: idx.eigenvalue)
+
+
+def _exact_sum(table: ExpansionTable, divisor: Callable[[PQIndex], int]) -> BivariatePoly:
+    """The sum of c / divisor(idx) * phi^idx over the table, in exact rationals."""
     total = BivariatePoly.zero()
-    for idx, c in f_table.items():
-        k = idx.eigenvalue
+    for idx, c in table.items():
+        k = divisor(idx)
         scalar = ComplexRational(Fraction(c.real) / k, Fraction(c.imag) / k)
         total = total + radial_sum(idx) * scalar
     return total

@@ -110,9 +110,12 @@ class TestFormatting:
         assert format_float(math.pi) == "3.1415926535897931"
 
     def test_bulk_formatting_matches_per_value(self):
+        # reference: one "%.17g" per value, with -0.0 turned into 0.0 first
         values = SPECIAL_FLOATS + [math.pi, -1 / 3, 1e-300, 123456789.0, 2.0**-1074 * 3]
-        assert format_floats(values) == [format_float(x) for x in values]
-        assert format_floats(np.array(values).reshape(3, 4)) == [format_float(x) for x in values]
+        expected = ["%.17g" % (0.0 if x == 0.0 else x) for x in values]
+        assert format_floats(values) == expected
+        assert format_floats(np.array(values).reshape(3, 4)) == expected
+        assert [format_float(x) for x in values] == expected
 
     def test_csv_quoting_matches_the_csv_module(self):
         labels = ["1,1", 'say "hi"', "line\nbreak", "cr\r", "plain", ""]
@@ -582,6 +585,21 @@ class TestLimitsOnFloatWork:
         with pytest.raises(Reached):
             main([command, "builtin:one", "--trunc", str(MAX_TRUNC), "--grid", "2x2"])
         self.assert_refused(capsys, [command, "builtin:one", "--trunc", str(MAX_TRUNC + 1)], MAX_TRUNC)
+
+    @pytest.mark.parametrize("spelling", ["eval", "builtin"])
+    def test_basis_index(self, spelling, capsys, monkeypatch):
+        monkeypatch.setattr(transform, "polar_grid", reach)
+        monkeypatch.setattr(transform, "expand", reach)
+
+        def argv(p, q):
+            if spelling == "eval":
+                return ["eval", str(p), str(q)]
+            return ["expand", f"builtin:phi_{p}_{q}"]
+
+        with pytest.raises(Reached):
+            main(argv(1, MAX_TRUNC - 1))
+        self.assert_refused(capsys, argv(1, MAX_TRUNC), MAX_TRUNC)
+        self.assert_refused(capsys, argv(MAX_TRUNC // 2, MAX_TRUNC // 2 + 1), MAX_TRUNC)
 
     @pytest.mark.parametrize("command", ["eval", "expand", "solve"])
     @pytest.mark.parametrize("n_angular", [512, MAX_GRID_CELLS // 2])

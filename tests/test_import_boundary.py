@@ -27,6 +27,7 @@ CASES = {
     "verify_limit": CLI.format(argv=["verify", "65"], code=2),
     "gram_limit": CLI.format(argv=["gram", "65"], code=2),
     "trunc_limit": CLI.format(argv=["solve", "builtin:one", "--trunc", "129"], code=2),
+    "eval_limit": CLI.format(argv=["eval", "1", "128"], code=2),
     "grid_limit": CLI.format(argv=["eval", "1", "1", "--grid", "513x512"], code=2),
     "moments_limit": CLI.format(argv=["moments", "0", "151"], code=2),
     "exact_layer": (

@@ -1,6 +1,7 @@
 """Construction routes, eigenrelation, basis bookkeeping, sign resolution."""
 
 import cmath
+import contextlib
 import json
 import math
 import random
@@ -421,6 +422,30 @@ class TestModeChecks:
         jacobi_form.cache_clear()
         with pytest.raises(SignValidationError, match=r"p=5, q=8"):
             mode_kernels(basis_indices(16), np.array([0.5]))
+        jacobi_form.cache_clear()
+
+    @pytest.mark.parametrize(
+        "offset,outcome",
+        [
+            (2e-12, pytest.raises(SignValidationError, match=r"p=5, q=8")),
+            (0.5e-12, contextlib.nullcontext()),
+        ],
+    )
+    def test_threshold_is_1e_12_of_the_scale(self, offset, outcome, monkeypatch):
+        # every exact value of (5, 8) moves by offset times the member's scale
+        reference = scattering.radial_sum_values
+
+        def shifted(idx, radii):
+            numerators, den = reference(idx, radii)
+            if idx == PQIndex(5, 8):
+                scale = max(1.0, max(abs(num / den) for num in numerators))
+                numerators = [num + round(offset * scale * den) for num in numerators]
+            return numerators, den
+
+        monkeypatch.setattr(scattering, "radial_sum_values", shifted)
+        jacobi_form.cache_clear()
+        with outcome:
+            jacobi_form(PQIndex(5, 8))
         jacobi_form.cache_clear()
 
 

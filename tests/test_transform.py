@@ -361,18 +361,26 @@ def counting(f):
     return wrapped, calls
 
 
+SPARSE_MODES = ExpansionTable(
+    coefficients={
+        # only the modes n = -3 and n = 5, neither adjacent to the other
+        PQIndex(4, 1): 1 - 2j, PQIndex(6, 3): 0.5j, PQIndex(1, 6): 1.5, PQIndex(3, 8): -0.25 + 1j,
+    },
+    truncation=11,
+)
+
+
 class TestPerModeRoute:
     def test_reconstruct_matches_per_index_outer_sum(self):
-        rng = random.Random(19)
-        table = random_table(rng, 8)
         r, theta = polar_grid(16, 32)
-        expected = np.zeros((16, 32), dtype=complex)
-        for idx, c in table.items():
-            form = jacobi_form(idx)
-            expected += c * np.outer(
-                form.radial_value(r), np.exp(1j * form.angular_frequency * theta)
-            )
-        assert np.max(np.abs(reconstruct(table, r, theta).values - expected)) < 1e-14
+        for table in (random_table(random.Random(19), 8), SPARSE_MODES):
+            expected = np.zeros((16, 32), dtype=complex)
+            for idx, c in table.items():
+                form = jacobi_form(idx)
+                expected += c * np.outer(
+                    form.radial_value(r), np.exp(1j * form.angular_frequency * theta)
+                )
+            assert np.max(np.abs(reconstruct(table, r, theta).values - expected)) < 1e-14
 
     def test_float_only_target_matches_per_index_reference(self):
         # math.exp rejects arrays, so f is sampled one node at a time
