@@ -19,8 +19,8 @@ cannot be written.
 Import boundary: this module loads only the exact layer.  Each float
 command imports numpy and the float layers it uses when it runs, after
 its arguments have passed every check, so ``table``, ``--help``, usage
-errors and size-limit exits never import numpy (an input file or builtin
-is checked as it is read, once numpy is loaded).
+errors, size-limit exits and bad builtin inputs never import numpy (an
+input file is checked as it is read, once numpy is loaded).
 """
 
 from __future__ import annotations
@@ -280,23 +280,25 @@ def _resolve_input(spec: str) -> tuple[Callable[[float, float], complex], str]:
     'builtin:phi_P_Q', 'builtin:radial_bump', and 'builtin:one' need no
     external data; anything else is a path to an r,theta,re,im CSV grid,
     resampled by bilinear interpolation.  Every one takes floats or
-    broadcasting arrays, so it is sampled in one call per grid.
+    broadcasting arrays, so it is sampled in one call per grid.  A
+    builtin's name and index are checked before numpy is imported.
     """
+    name = spec[len("builtin:"):] if spec.startswith("builtin:") else None
+    match = _BUILTIN_PATTERN.fullmatch(name or "")
+    if match:
+        idx = _parse_index(int(match.group(1)), int(match.group(2)), MAX_TRUNC, "float")
+    elif name not in (None, "one", "radial_bump"):
+        raise CLIError(f"unknown builtin '{name}' (available: phi_P_Q, radial_bump, one)")
     import numpy as np
 
     from .transform import basis_function, grid_interpolant
 
-    if spec.startswith("builtin:"):
-        name = spec[len("builtin:"):]
-        if name == "one":
-            return (lambda r, theta: np.ones(np.broadcast(r, theta).shape, dtype=complex)), spec
-        if name == "radial_bump":
-            return (lambda r, theta: (1.0 - r * r) * (1.0 - r * r) + 0j), spec
-        match = _BUILTIN_PATTERN.fullmatch(name)
-        if match:
-            idx = _parse_index(int(match.group(1)), int(match.group(2)), MAX_TRUNC, "float")
-            return basis_function(idx), spec
-        raise CLIError(f"unknown builtin '{name}' (available: phi_P_Q, radial_bump, one)")
+    if name == "one":
+        return (lambda r, theta: np.ones(np.broadcast(r, theta).shape, dtype=complex)), spec
+    if name == "radial_bump":
+        return (lambda r, theta: (1.0 - r * r) * (1.0 - r * r) + 0j), spec
+    if match:
+        return basis_function(idx), spec
     return grid_interpolant(_load_grid_csv(spec)), spec
 
 
@@ -516,9 +518,9 @@ def cmd_expansion(args: argparse.Namespace) -> int:
     if args.trunc > MAX_TRUNC:
         raise CLIError(f"--trunc must be <= {MAX_TRUNC} (limit on float work)")
     grid = _parse_grid_spec(args.grid) if args.grid else None
+    f, label = _resolve_input(args.input)
     from . import transform
 
-    f, label = _resolve_input(args.input)
     solve = args.command == "solve"
     table = (transform.solve_weighted_poisson if solve else transform.expand)(f, args.trunc)
     payload = {"input": label, "truncation": args.trunc, "coefficients": _coefficient_table(table)}

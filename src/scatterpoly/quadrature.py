@@ -111,6 +111,11 @@ def gram(indices: Sequence[PQIndex]) -> GramMatrix:
     return GramMatrix(indices=idx, entries=entries)
 
 
+def angle_grid(n: int) -> np.ndarray:
+    """The n uniform angles 2 pi j / n, j = 0 .. n - 1: the one angle grid of the package."""
+    return 2.0 * math.pi * np.arange(n) / n
+
+
 def sample_polar(f: DiskFunction, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """f on the tensor grid r x theta, as a complex (r.size, theta.size) array.
 
@@ -142,8 +147,7 @@ def inner_products(
         raise ValueError("quadrature orders must be >= 1")
     rule = gauss_legendre(radial_order)
     r = np.sqrt((1.0 + rule.nodes) / 2.0)
-    theta = 2.0 * math.pi * np.arange(angular_points) / angular_points
-    fhat = np.fft.fft(sample_polar(f, r, theta), axis=1)
+    fhat = np.fft.fft(sample_polar(f, r, angle_grid(angular_points)), axis=1)
     weighted = fhat * (rule.weights / 4.0 * (2.0 * math.pi / angular_points))[:, None]
     out = np.empty(len(indices), dtype=complex)
     for n, positions, kernel in mode_kernels(indices, r):
@@ -207,8 +211,7 @@ def _angular_moment(m: int, n: int) -> float:
         * _double_factorial(2 * n - 1)
         / _double_factorial(2 * m + 2 * n)
     )
-    points = 4 * (m + n) + 16
-    theta = 2.0 * math.pi * np.arange(points) / points
+    theta = angle_grid(4 * (m + n) + 16)
     trapezoid = (
         2.0 * math.pi * float(np.mean(np.cos(theta) ** (2 * m) * np.sin(theta) ** (2 * n)))
     )

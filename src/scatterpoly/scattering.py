@@ -15,11 +15,11 @@ Both exact routes work on integer w-profiles
 section 8) and become a :class:`BivariatePoly` only at the end.  The
 factored route takes its prefactor (-1)^(q+1) max{p,q}/q from the closed
 form of math_notes section 2.1; the printed rule (-1)^(q + max{p,q}) is
-wrong whenever max{p,q} is even.  Every form is checked once, a mode at a
-time, against the binomial sum evaluated exactly in integers, so the
-float routes never build a Rodrigues polynomial; ``verify`` and the tests
-compare the forms with the Rodrigues route itself.  Both comparisons
-measure the deviation by one function, :func:`factored_deviation`.
+wrong whenever max{p,q} is even.  Each prefactor is checked once, a mode
+at a time, against the binomial sum evaluated exactly in integers, and
+cached (a form is built per lookup), so the float routes never build a
+Rodrigues polynomial; ``verify`` and the tests compare the forms with the
+Rodrigues route itself, both by :func:`factored_deviation`.
 
 Import boundary: the exact half of this module needs neither numpy nor
 :mod:`scatterpoly.jacobi`.  The float members (the :class:`RadialForm`
@@ -106,7 +106,8 @@ class RadialForm:
 
         from .jacobi import radial_kernels
 
-        out = next(radial_kernels([_columns([self])], np.asarray(r, dtype=float)))[..., 0]
+        group = (self.m, [self.nu], [self.coeff])
+        out = next(radial_kernels([group], np.asarray(r, dtype=float)))[..., 0]
         return float(out) if np.ndim(r) == 0 else out
 
     def radial_value(self, r: ArrayLike) -> ArrayLike:
@@ -253,8 +254,8 @@ def factored_deviation(
 _CHECK_RADII = 20
 
 
-def _check_mode(n: int, nus: range) -> list[RadialForm]:
-    """Closed-form factored forms of the members nu in nus of mode n, checked.
+def _check_mode(n: int, nus: range) -> list[float]:
+    """Closed-form prefactors of the members nu in nus of mode n, checked.
 
     Prefactor (-1)^(q+1) * max{p,q}/q (docs/math_notes.md section 2.1).
     One seeded set of dyadic radii serves the mode: one kernel table there
@@ -268,56 +269,49 @@ def _check_mode(n: int, nus: range) -> list[RadialForm]:
 
     p0, q0 = (1, 1 + n) if n >= 0 else (1 - n, 1)  # the member with nu = 0
     members = [PQIndex(p0 + nu, q0 + nu) for nu in nus]
-    forms = [RadialForm((-1) ** (i.q + 1) * (max(i.p, i.q) / i.q), i.m, i.nu, n) for i in members]
+    prefactors = [(-1) ** (i.q + 1) * (max(i.p, i.q) / i.q) for i in members]
     radii = sorted(random.Random(f"mode {n}").sample(range(1, _RADIUS_DEN), _CHECK_RADII))
     r = np.array(radii) / _RADIUS_DEN
-    kernel = next(radial_kernels([_columns(forms)], r))
+    kernel = next(radial_kernels([(abs(n), nus, prefactors)], r))
     deviation, scale = factored_deviation(r, kernel, (radial_sum_values(i, radii) for i in members))
     for idx, failed in zip(members, (deviation > 1e-12 * scale).tolist()):
         if failed:
             raise SignValidationError(
                 f"closed-form factored route disagrees with the exact polynomial for {idx}"
             )
-    return forms
+    return prefactors
 
 
-def _columns(forms: Sequence[RadialForm]) -> tuple[int, list[int], list[float]]:
-    """Forms sharing one m as a column group of :func:`~scatterpoly.jacobi.radial_kernels`."""
-    return forms[0].m, [f.nu for f in forms], [f.coeff for f in forms]
-
-
-#: The checked forms of each mode n, for nu = 0, 1, ...: jacobi_form's cache.
-_CHECKED: dict[int, list[RadialForm]] = defaultdict(list)
+#: The checked prefactors of each mode n, for nu = 0, 1, ...: jacobi_form's cache.
+_CHECKED: dict[int, list[float]] = defaultdict(list)
 _LOOKUPS: Counter = Counter()
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
 
 
-def _checked_forms(indices: Sequence[PQIndex]) -> list[RadialForm]:
-    """The checked form of each index.  A mode's members are checked in
-    order of nu, each once, so a growing mode checks its new members only;
-    a lookup that checks nothing is a hit, each member checked a miss."""
-    need: dict[int, int] = defaultdict(int)
-    for idx in indices:
-        need[idx.q - idx.p] = max(need[idx.q - idx.p], idx.nu + 1)
+def _check_modes(need: dict[int, int]) -> None:
+    """Check each mode n up to nu = need[n] - 1, in order of nu and each
+    member once, so a growing mode checks its new members only; a lookup
+    that checks nothing is a hit, each member checked a miss."""
     checked = 0
     for n, count in need.items():
         have = len(_CHECKED[n])
         if have < count:
-            # a slice, not an append: threads that check the same members store the same forms
+            # a slice, not an append: threads that check the same members store the same values
             _CHECKED[n][have:count] = _check_mode(n, range(have, count))
             checked += count - have
     _LOOKUPS.update(hits=0 if checked else 1, misses=checked)
-    return [_CHECKED[idx.q - idx.p][idx.nu] for idx in indices]
 
 
 def jacobi_form(idx: PQIndex) -> RadialForm:
     """Factored form of phi^(p,q), prefactor (-1)^(q+1) * max{p,q}/q.
 
-    A lookup into the checked forms that checks idx's mode up to idx first
-    if need be.  ``cache_clear()`` forgets every check, so later lookups
-    check again; ``cache_info()`` counts lookups and checks.
+    Built per lookup from the cache of checked prefactors, checking idx's
+    mode up to idx first if need be.  ``cache_clear()`` forgets every check,
+    so later lookups check again; ``cache_info()`` counts lookups and checks.
     """
-    return _checked_forms([idx])[0]
+    n = idx.q - idx.p
+    _check_modes({n: idx.nu + 1})
+    return RadialForm(_CHECKED[n][idx.nu], abs(n), idx.nu, n)
 
 
 def _forget_checks() -> None:
@@ -338,22 +332,25 @@ def mode_kernels(
 
     Yields (n, positions, kernel) per angular frequency n = q - p in
     increasing n; column j is ``jacobi_form(indices[positions[j]])
-    .radial_kernel(r)``.  The checks of new members and the one
-    :func:`~scatterpoly.jacobi.radial_kernels` table over every m = |n| run
-    at the call; each kernel is built as the result is iterated.
+    .radial_kernel(r)``, from the cached prefactors with no form built.
+    One walk over indices groups them by mode; the checks of new members
+    and the one :func:`~scatterpoly.jacobi.radial_kernels` table over every
+    m = |n| run at the call; each kernel is built as the result is iterated.
     """
     import numpy as np
 
     from .jacobi import radial_kernels
 
-    modes: dict[int, list[int]] = defaultdict(list)
+    modes: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
     for position, idx in enumerate(indices):
-        modes[idx.q - idx.p].append(position)
-    forms = _checked_forms(indices)
+        positions, nus = modes[idx.q - idx.p]
+        positions.append(position)
+        nus.append(idx.nu)
+    _check_modes({n: max(nus) + 1 for n, (_, nus) in modes.items()})
     ns = sorted(modes)
-    groups = [_columns([forms[k] for k in modes[n]]) for n in ns]
+    groups = [(abs(n), modes[n][1], [_CHECKED[n][nu] for nu in modes[n][1]]) for n in ns]
     kernels = radial_kernels(groups, np.asarray(r, dtype=float))
-    return zip(ns, (np.array(modes[n]) for n in ns), kernels)
+    return zip(ns, (np.array(modes[n][0]) for n in ns), kernels)
 
 
 def resolved_sign(idx: PQIndex) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .jacobi import gauss_legendre
 from .poly_algebra import BivariatePoly, ComplexRational
-from .quadrature import DiskFunction, inner_products, sample_polar
+from .quadrature import DiskFunction, angle_grid, inner_products, sample_polar
 from .scattering import PQIndex, basis_indices, jacobi_form, mode_kernels, norm_sq, radial_sum
 
 
@@ -34,24 +34,24 @@ class ExpansionTable:
     """Coefficients of a truncated expansion, keyed by PQIndex.
 
     Every key satisfies p + q <= truncation; absent keys mean zero.
+    ``coefficients`` iterates in lexicographic index order.
     """
 
     coefficients: Mapping[PQIndex, complex]
     truncation: int
 
     def __post_init__(self) -> None:
-        cleaned = {}
-        for idx, value in self.coefficients.items():
+        for idx in self.coefficients:
             if not isinstance(idx, PQIndex):
                 raise TypeError("coefficient keys must be PQIndex")
             if idx.p + idx.q > self.truncation:
                 raise ValueError(f"{idx} exceeds truncation {self.truncation}")
-            cleaned[idx] = complex(value)
-        object.__setattr__(self, "coefficients", cleaned)
+        ordered = sorted(self.coefficients.items(), key=lambda kv: kv[0])
+        object.__setattr__(self, "coefficients", {idx: complex(c) for idx, c in ordered})
 
     def items(self) -> list[tuple[PQIndex, complex]]:
         """Coefficients in lexicographic index order."""
-        return sorted(self.coefficients.items(), key=lambda kv: kv[0])
+        return list(self.coefficients.items())
 
     def coefficient(self, idx: PQIndex) -> complex:
         return self.coefficients.get(idx, 0j)
@@ -82,9 +82,7 @@ def polar_grid(n_radial: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform open polar grid: r = i/n_radial, theta = 2 pi j/n_angular."""
     if n_radial < 1 or n_angular < 1:
         raise ValueError("grid sizes must be >= 1")
-    r = np.arange(n_radial, dtype=float) / n_radial
-    theta = 2.0 * math.pi * np.arange(n_angular, dtype=float) / n_angular
-    return r, theta
+    return np.arange(n_radial, dtype=float) / n_radial, angle_grid(n_angular)
 
 
 def basis_function(idx: PQIndex) -> DiskFunction:
@@ -117,10 +115,9 @@ def expand(
 
 def _synthesize(table: ExpansionTable, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Partial sum on the tensor grid r x theta, one column of A per mode."""
-    items = table.items()
-    coeffs = np.array([c for _, c in items])
+    coeffs = np.array(list(table.coefficients.values()))
     ns, columns = [], []
-    for n, positions, kernel in mode_kernels([idx for idx, _ in items], r):
+    for n, positions, kernel in mode_kernels(list(table.coefficients), r):
         # the (1 - r^2) factor stays explicit, so the sum is 0 at r = 1 exactly
         ns.append(n)
         columns.append((1.0 - r * r) * (kernel @ coeffs[positions]))
@@ -144,10 +141,7 @@ def boundary_value_check(table: ExpansionTable, n_theta: int) -> float:
     the last bit for any finite table; a nonzero return flags a synthesis
     bug, not a modeling error.
     """
-    if n_theta < 1:
-        raise ValueError("n_theta must be >= 1")
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    return float(np.max(np.abs(_synthesize(table, np.array([1.0]), theta))))
+    return _rim_max(lambda r, theta: _synthesize(table, r, theta), n_theta)
 
 
 def rim_amplitude(f: DiskFunction, n_theta: int) -> float:
@@ -157,10 +151,14 @@ def rim_amplitude(f: DiskFunction, n_theta: int) -> float:
     (docs/math_notes.md section 5), so a target with a nonzero rim
     amplitude has no finite expansion residual.
     """
+    return _rim_max(lambda r, theta: sample_polar(f, r, theta), n_theta)
+
+
+def _rim_max(values: Callable[[np.ndarray, np.ndarray], np.ndarray], n_theta: int) -> float:
+    """Max |values(r, theta)| at r = 1 over the n_theta points of :func:`angle_grid`."""
     if n_theta < 1:
         raise ValueError("n_theta must be >= 1")
-    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    return float(np.max(np.abs(sample_polar(f, np.array([1.0]), theta))))
+    return float(np.max(np.abs(values(np.array([1.0]), angle_grid(n_theta)))))
 
 
 def solve_table(f_table: ExpansionTable) -> ExpansionTable:
@@ -232,7 +230,7 @@ def expansion_residual(
     rule = gauss_legendre(order)
     u = rule.nodes
     r = np.sqrt((1.0 + u) / 2.0)
-    theta = 2.0 * math.pi * np.arange(points) / points
+    theta = angle_grid(points)
     residual_sq = np.abs(sample_polar(f, r, theta) - _synthesize(table, r, theta)) ** 2
     radial_weights = rule.weights / (1.0 - u)
     total = (math.pi / points) * float(radial_weights @ residual_sq.sum(axis=1))

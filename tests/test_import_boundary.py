@@ -30,6 +30,9 @@ CASES = {
     "eval_limit": CLI.format(argv=["eval", "1", "128"], code=2),
     "grid_limit": CLI.format(argv=["eval", "1", "1", "--grid", "513x512"], code=2),
     "moments_limit": CLI.format(argv=["moments", "0", "151"], code=2),
+    "builtin_index_limit": CLI.format(argv=["expand", "builtin:phi_1_200"], code=2),
+    "builtin_unknown": CLI.format(argv=["solve", "builtin:nope"], code=2),
+    "builtin_bad_index": CLI.format(argv=["expand", "builtin:phi_0_3"], code=2),
     "exact_layer": (
         "import scatterpoly.scattering as s\n"
         "phi = s.rodrigues(s.PQIndex(3, 4))\n"

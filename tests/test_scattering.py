@@ -290,18 +290,22 @@ class TestJacobiForm:
 
 class TestModeKernels:
     def test_columns_equal_radial_kernels(self):
-        indices = basis_indices(11)
+        # in index order; shuffled with repeats; two modes alone
+        shuffled = basis_indices(11) + [PQIndex(3, 5), PQIndex(1, 1), PQIndex(7, 2)]
+        random.Random(11).shuffle(shuffled)
+        two_modes = [idx for idx in basis_indices(20) if idx.angular_frequency in (-3, 5)]
         r = [k / 17 for k in range(17)]
-        seen = []
-        for n, positions, kernel in mode_kernels(indices, r):
-            assert kernel.shape == (17, len(positions))
-            for column, k in enumerate(positions):
-                idx = indices[k]
-                assert idx.angular_frequency == n
-                expected = jacobi_form(idx).radial_kernel(np.array(r))
-                assert np.array_equal(kernel[:, column], expected)
-            seen += list(positions)
-        assert sorted(seen) == list(range(len(indices)))
+        for indices in (basis_indices(11), shuffled, two_modes):
+            seen = []
+            for n, positions, kernel in mode_kernels(indices, r):
+                assert kernel.shape == (17, len(positions))
+                for column, k in enumerate(positions):
+                    idx = indices[k]
+                    assert idx.angular_frequency == n
+                    expected = jacobi_form(idx).radial_kernel(np.array(r))
+                    assert np.array_equal(kernel[:, column], expected)
+                seen += list(positions)
+            assert sorted(seen) == list(range(len(indices)))
 
 
     def test_columns_equal_the_per_index_reference_at_40(self):

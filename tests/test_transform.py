@@ -32,6 +32,7 @@ from scatterpoly.transform import (
     grid_interpolant,
     polar_grid,
     reconstruct,
+    rim_amplitude,
     solve_exact,
     solve_table,
     solve_weighted_poisson,
@@ -85,6 +86,7 @@ class TestExpansionTable:
             PQIndex(1, 2),
             PQIndex(2, 1),
         ]
+        assert list(table.coefficients) == [idx for idx, _ in table.items()]
 
 
 class TestExpand:
@@ -195,6 +197,12 @@ class TestBoundary:
     def test_rejects_empty_circle(self):
         with pytest.raises(ValueError):
             boundary_value_check(ExpansionTable(coefficients={}, truncation=2), 0)
+        with pytest.raises(ValueError):
+            rim_amplitude(lambda r, theta: 1.0, 0)
+
+    def test_rim_amplitude(self):
+        assert rim_amplitude(lambda r, theta: 1.0, 64) == 1.0
+        assert rim_amplitude(lambda r, theta: (1.0 - r * r) * np.exp(1j * theta), 64) == 0.0
 
 
 class TestSolve:
