@@ -71,8 +71,14 @@ def format_float(x: float) -> str:
 def format_floats(a) -> list[str]:
     """Every value of a float array at 17 significant digits, in flat order:
     one finiteness check (nan or an infinity raises :class:`NonFiniteOutputError`),
-    then ``"%.17g"`` over the values plus 0.0 (which turns -0.0 into 0)."""
-    return list(map("%.17g".__mod__, (_finite(a).ravel() + 0.0).tolist()))
+    then ``"%.17g"`` over the nonzero values and ``0`` for the zeros, -0.0
+    included, which a Gram matrix is almost all of."""
+    values = _finite(a).ravel()
+    nonzero = values.nonzero()[0]
+    out = ["0"] * values.size
+    for i, text in zip(nonzero.tolist(), map("%.17g".__mod__, values[nonzero].tolist())):
+        out[i] = text
+    return out
 
 
 def _finite(a):

@@ -89,25 +89,25 @@ def jacobi_table(m: Union[int, Sequence[int]], max_degree: int, x: ArrayLike) ->
 
 
 def radial_kernels(
-    groups: Sequence[tuple[int, Sequence[int], Sequence[float]]], r: np.ndarray
+    groups: Sequence[tuple[int, Sequence[int], Sequence[float]]], r: np.ndarray, max_nu: int
 ) -> Iterator[np.ndarray]:
     """c * r^m * P_nu^(1,m)(2 r^2 - 1) for groups of columns (m, nus, cs).
 
-    Runs one :func:`jacobi_table` pass over the groups' distinct m, then
+    Runs one :func:`jacobi_table` pass over the groups' distinct m, up to
+    degree ``max_nu``, at least the largest nu of the groups, then
     yields one array of shape r.shape + (len(nus),) per group as it is
-    iterated, so only one group's array exists next to the table.  Each
-    r^m takes a scalar exponent and is applied as (c * r^m) * P, the order
-    of a one-column call, so a column has the same bits in any batch.
+    iterated, so only one group's array and its r^m exist next to the
+    table.  Each r^m takes a scalar exponent and is applied as
+    (c * r^m) * P, the order of a one-column call, so a column has the
+    same bits in any batch.
     """
     ms = sorted({m for m, _, _ in groups})
-    max_nu = max((nu for _, nus, _ in groups for nu in nus), default=0)
     table = jacobi_table(ms, max_nu, 2.0 * r * r - 1.0)
-    slot = {m: (j, r**m) for j, m in enumerate(ms)}
+    slot = {m: j for j, m in enumerate(ms)}
 
     def kernel(group: tuple[int, Sequence[int], Sequence[float]]) -> np.ndarray:
         m, nus, cs = group
-        j, power = slot[m]
-        return np.asarray(cs, dtype=float) * power[..., None] * table[..., j, nus]
+        return np.asarray(cs, dtype=float) * (r**m)[..., None] * table[..., slot[m], nus]
 
     return map(kernel, groups)
 

@@ -34,8 +34,9 @@ import random
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import zip_longest
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 from .poly_algebra import BOUNDARY_FACTOR, BivariatePoly, WProfile
@@ -107,7 +108,7 @@ class RadialForm:
         from .jacobi import radial_kernels
 
         group = (self.m, [self.nu], [self.coeff])
-        out = next(radial_kernels([group], np.asarray(r, dtype=float)))[..., 0]
+        out = next(radial_kernels([group], np.asarray(r, dtype=float), self.nu))[..., 0]
         return float(out) if np.ndim(r) == 0 else out
 
     def radial_value(self, r: ArrayLike) -> ArrayLike:
@@ -272,7 +273,7 @@ def _check_mode(n: int, nus: range) -> list[float]:
     prefactors = [(-1) ** (i.q + 1) * (max(i.p, i.q) / i.q) for i in members]
     radii = sorted(random.Random(f"mode {n}").sample(range(1, _RADIUS_DEN), _CHECK_RADII))
     r = np.array(radii) / _RADIUS_DEN
-    kernel = next(radial_kernels([(abs(n), nus, prefactors)], r))
+    kernel = next(radial_kernels([(abs(n), nus, prefactors)], r, nus[-1]))
     deviation, scale = factored_deviation(r, kernel, (radial_sum_values(i, radii) for i in members))
     for idx, failed in zip(members, (deviation > 1e-12 * scale).tolist()):
         if failed:
@@ -325,6 +326,44 @@ jacobi_form.cache_info = lambda: _CacheInfo(
 )
 
 
+def _mode_plan(indices: Sequence[PQIndex]) -> tuple:
+    """(modes, need) from one walk over indices: per mode n = q - p in
+    increasing n, (n, positions, degrees nu), both read-only int arrays;
+    the check need {n: max nu + 1}, read-only too, as a basis plan is shared."""
+    import numpy as np
+
+    modes: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
+    for position, idx in enumerate(indices):
+        positions, nus = modes[idx.q - idx.p]
+        positions.append(position)
+        nus.append(min(idx.p, idx.q) - 1)
+    plan = []
+    for n, group in sorted(modes.items()):
+        positions, nus = map(np.array, group)
+        positions.flags.writeable = nus.flags.writeable = False
+        plan.append((n, positions, nus))
+    return tuple(plan), MappingProxyType({n: max(nus) + 1 for n, (_, nus) in modes.items()})
+
+
+class _BasisPlan:
+    """The layout of the basis with p + q <= max_sum, one per truncation:
+    its PQIndex objects, which :func:`basis_indices` hands out, and from
+    the first float call on, their :func:`_mode_plan`."""
+
+    def __init__(self, max_sum: int) -> None:
+        self.indices = tuple(
+            PQIndex(p, q) for p in range(1, max_sum) for q in range(1, max_sum - p + 1)
+        )
+
+    @cached_property
+    def modes(self) -> tuple:
+        return _mode_plan(self.indices)
+
+
+#: The plans of the last few truncations used.
+_basis_plan = lru_cache(maxsize=8)(_BasisPlan)
+
+
 def mode_kernels(
     indices: Sequence[PQIndex], r: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -333,24 +372,24 @@ def mode_kernels(
     Yields (n, positions, kernel) per angular frequency n = q - p in
     increasing n; column j is ``jacobi_form(indices[positions[j]])
     .radial_kernel(r)``, from the cached prefactors with no form built.
-    One walk over indices groups them by mode; the checks of new members
-    and the one :func:`~scatterpoly.jacobi.radial_kernels` table over every
-    m = |n| run at the call; each kernel is built as the result is iterated.
+    A basis finds its cached plan by one tuple comparison; other indices
+    are grouped anew.  The checks of new members and the one
+    :func:`~scatterpoly.jacobi.radial_kernels` table over every m = |n|
+    run at the call; each kernel is built as the result is iterated.
     """
     import numpy as np
 
     from .jacobi import radial_kernels
 
-    modes: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
-    for position, idx in enumerate(indices):
-        positions, nus = modes[idx.q - idx.p]
-        positions.append(position)
-        nus.append(idx.nu)
-    _check_modes({n: max(nus) + 1 for n, (_, nus) in modes.items()})
-    ns = sorted(modes)
-    groups = [(abs(n), modes[n][1], [_CHECKED[n][nu] for nu in modes[n][1]]) for n in ns]
-    kernels = radial_kernels(groups, np.asarray(r, dtype=float))
-    return zip(ns, (np.array(modes[n][0]) for n in ns), kernels)
+    indices = tuple(indices)
+    top = indices[-1].p + 1 if indices else 0
+    plan = _basis_plan(top) if len(indices) == top * (top - 1) // 2 > 0 else None
+    modes, need = plan.modes if plan and indices == plan.indices else _mode_plan(indices)
+    _check_modes(need)
+    groups = [(abs(n), nus, np.asarray(_CHECKED[n])[nus]) for n, _, nus in modes]
+    max_nu = max(need.values(), default=1) - 1
+    kernels = radial_kernels(groups, np.asarray(r, dtype=float), max_nu)
+    return ((n, positions, kernel) for (n, positions, _), kernel in zip(modes, kernels))
 
 
 def resolved_sign(idx: PQIndex) -> int:
@@ -401,10 +440,10 @@ def eigenspace_indices(k: int) -> list[PQIndex]:
 
 
 def basis_indices(max_sum: int) -> list[PQIndex]:
-    """All (p, q) with p, q >= 1 and p + q <= max_sum, lexicographic."""
+    """All (p, q) with p, q >= 1 and p + q <= max_sum, lexicographic, in a new list."""
     if max_sum < 2:
         raise ValueError("max_sum must be >= 2")
-    return [PQIndex(p, q) for p in range(1, max_sum) for q in range(1, max_sum - p + 1)]
+    return list(_basis_plan(max_sum).indices)
 
 
 def norm_sq(idx: PQIndex) -> float:

@@ -117,6 +117,14 @@ class TestFormatting:
         assert format_floats(np.array(values).reshape(3, 4)) == expected
         assert [format_float(x) for x in values] == expected
 
+    def test_zeros_written_directly_match_the_per_value_format(self):
+        # mostly zeros (a Gram block), and dense; -0.0 is written as 0
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.pi, 2.0**-1022]
+        dense = np.random.default_rng(2).normal(size=64).tolist()
+        for values in (special, special + [0.0] * 40, dense, dense[:5] + [-0.0] * 3):
+            assert format_floats(values) == ["%.17g" % (v + 0.0) for v in values]
+        assert format_floats(np.zeros((3, 2))) == ["0"] * 6
+
     def test_csv_quoting_matches_the_csv_module(self):
         labels = ["1,1", 'say "hi"', "line\nbreak", "cr\r", "plain", ""]
         table = Table(["index", *labels], [labels], np.zeros((6, 6)), records=False)

@@ -100,6 +100,19 @@ class TestGram:
         reference = np.max(np.abs(big.entries - np.diag(np.diag(big.entries))))
         assert big.max_off_diagonal() == reference
 
+    def test_max_off_diagonal_over_several_row_blocks(self):
+        # 700 rows take eight blocks; the largest entries sit on the diagonal
+        # and in the last block, where its offset matters
+        entries = np.random.default_rng(7).normal(size=(700, 700))
+        entries[np.diag_indices(700)] = 50.0
+        entries[650, 3] = -9.0
+        matrix = GramMatrix(indices=tuple(basis_indices(38))[:700], entries=entries)
+        assert matrix.max_off_diagonal() == 9.0
+        entries[650, 3] = 0.0
+        reference = np.abs(entries)
+        np.fill_diagonal(reference, 0.0)
+        assert matrix.max_off_diagonal() == float(np.max(reference))
+
     def test_type_fields(self):
         matrix = gram(basis_indices(3))
         assert isinstance(matrix, GramMatrix)

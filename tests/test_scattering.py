@@ -16,7 +16,7 @@ import pytest
 from scatterpoly import cli, jacobi, scattering
 from scatterpoly.jacobi import gauss_legendre
 from scatterpoly.poly_algebra import BOUNDARY_FACTOR, BivariatePoly, WProfile, Z, ZBAR
-from scatterpoly.quadrature import gram, inner_product_poly_exact
+from scatterpoly.quadrature import gram, inner_product_poly_exact, inner_products
 from scatterpoly.scattering import (
     PQIndex,
     RadialForm,
@@ -38,7 +38,13 @@ from scatterpoly.scattering import (
     rodrigues_profile,
     sign_resolution,
 )
-from scatterpoly.transform import expand, reconstruct, solve_weighted_poisson
+from scatterpoly.transform import (
+    ExpansionTable,
+    expand,
+    polar_grid,
+    reconstruct,
+    solve_weighted_poisson,
+)
 
 from helpers import exact_norm_fraction, random_point, scalar_jacobi_table
 
@@ -330,6 +336,50 @@ class TestModeKernels:
                 assert form.radial_kernel(0.5) == form.radial_kernel(r[4:5])[0]
 
 
+class TestModePlan:
+    """A basis finds its cached mode plan; any other sequence groups anew,
+    with the same bits."""
+
+    def test_blocks_are_fresh_and_c_contiguous(self):
+        # BLAS sums a strided view in another order than a C-contiguous block
+        shuffled = basis_indices(24)
+        random.Random(24).shuffle(shuffled)
+        gaps = [PQIndex(3, 5), PQIndex(1, 3), PQIndex(4, 6)]  # mode 2, nu = 2, 0, 3
+        r = np.sqrt((1.0 + gauss_legendre(26).nodes) / 2.0)
+        for indices in (basis_indices(24), shuffled, gaps):
+            for _, positions, kernel in mode_kernels(indices, r):
+                assert kernel.flags.c_contiguous and kernel.flags.owndata
+                assert not positions.flags.writeable  # a basis plan is shared
+
+    def test_shuffled_basis_gives_the_same_bits(self):
+        # a random order of the basis that keeps each mode's members in basis
+        # order: a plan of its own, but every block sums in the same order
+        indices = basis_indices(24)
+        modes = [idx.q - idx.p for idx in indices]
+        random.Random(5).shuffle(modes)
+        members = {n: iter([idx for idx in indices if idx.q - idx.p == n]) for n in modes}
+        shuffled = [next(members[n]) for n in modes]
+        back = np.argsort([indices.index(idx) for idx in shuffled])
+        fresh = gram(shuffled).entries
+        assert np.array_equal(fresh[np.ix_(back, back)], gram(indices).entries)
+
+        def f(r, theta):
+            return (1 - r * r) * (r**3 * np.cos(3 * theta) + 1j * r * np.sin(theta) + 0.25)
+
+        fresh = inner_products(f, shuffled, 32, 112)
+        assert np.array_equal(fresh[back], inner_products(f, indices, 32, 112))
+        table = expand(f, 24)
+        norms = np.array([norm_sq(idx) for idx in shuffled])
+        assert list(table.coefficients.values()) == (fresh / norms)[back].tolist()
+        # a table sorts its keys, so a shuffled one is the basis table again
+        regrouped = ExpansionTable({idx: table.coefficient(idx) for idx in shuffled}, 24)
+        r, theta = polar_grid(16, 32)
+        hits = scattering._basis_plan.cache_info().hits
+        cached = reconstruct(table, r, theta).values
+        assert np.array_equal(reconstruct(regrouped, r, theta).values, cached)
+        assert scattering._basis_plan.cache_info().hits == hits + 2
+
+
 class TestModeChecks:
     """The construction check runs a mode at a time, once per member."""
 
@@ -545,6 +595,15 @@ class TestEnumeration:
     def test_basis_rejects_max_sum_below_two(self):
         with pytest.raises(ValueError):
             basis_indices(1)
+
+    def test_basis_is_a_new_list_of_the_same_indices(self):
+        first = basis_indices(6)
+        first.append(PQIndex(9, 9))
+        first[0] = PQIndex(2, 2)
+        second = basis_indices(6)
+        assert second == [PQIndex(p, q) for p in range(1, 6) for q in range(1, 7 - p)]
+        assert second is not basis_indices(6)
+        assert all(a is b for a, b in zip(second, basis_indices(6)))
 
 
 class TestNormClosedForm:

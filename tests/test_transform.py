@@ -88,6 +88,16 @@ class TestExpansionTable:
         ]
         assert list(table.coefficients) == [idx for idx, _ in table.items()]
 
+    @pytest.mark.parametrize("build", [expand, solve_weighted_poisson])
+    def test_built_tables_equal_checked_ones(self, build):
+        # keys PQIndex in lexicographic order, values complex, whatever order they came in
+        table = build(lambda r, theta: (1 - r * r) * (1 + r * np.cos(theta)), 12)
+        assert list(table.coefficients) == basis_indices(12)
+        assert all(type(idx) is PQIndex and type(c) is complex for idx, c in table.items())
+        shuffled = list(table.coefficients.items())
+        random.Random(3).shuffle(shuffled)
+        assert ExpansionTable(coefficients=dict(shuffled), truncation=12) == table
+
 
 class TestExpand:
     def test_basis_member_expands_to_itself(self):
