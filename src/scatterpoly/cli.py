@@ -205,10 +205,7 @@ def _write(out: str, fmt: str, payload, key: Optional[str] = None) -> None:
 
 
 def _parse_index(p: int, q: int, max_sum: int, work: str) -> PQIndex:
-    try:
-        idx = PQIndex(p, q)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    idx = PQIndex(p, q)
     if p + q > max_sum:
         raise CLIError(f"p + q must be <= {max_sum} (limit on {work} work)")
     return idx
@@ -226,19 +223,28 @@ def _parse_grid_spec(spec: str) -> tuple[int, int]:
     return n_radial, n_angular
 
 
-def _load_grid_csv(path: str) -> GridSample:
-    """Read an r,theta,re,im grid file, reporting the offending line."""
+def _grid_rows(path: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) per row after a grid file's header; read faults exit 2 naming it."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
+            reader = csv.reader(fh)
+            if [cell.strip() for cell in next(reader, [])] != ["r", "theta", "re", "im"]:
+                raise CLIError(f"{path}: line 1: expected header r,theta,re,im")
+            yield from enumerate(reader, start=2)
+    except (OSError, UnicodeDecodeError) as exc:
         raise CLIError(f"cannot read {path}: {exc}") from exc
-    if not rows or [cell.strip() for cell in rows[0]] != ["r", "theta", "re", "im"]:
-        raise CLIError(f"{path}: line 1: expected header r,theta,re,im")
+    except csv.Error as exc:
+        raise CLIError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
+def _load_grid_csv(path: str) -> GridSample:
+    """Read an r,theta,re,im grid file, reporting the offending line."""
     table: dict[tuple[float, float], tuple[int, complex]] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in _grid_rows(path):
         if not row:
             continue
+        if len(table) == MAX_GRID_CELLS:
+            raise CLIError(f"{path}: more than {MAX_GRID_CELLS} data rows (limit on float work)")
         if len(row) != 4:
             raise CLIError(f"{path}: line {line_no}: expected 4 fields, got {len(row)}")
         try:
@@ -355,7 +361,7 @@ MAX_TRUNC = 128
 #: Largest ``gram N``: its matrix holds (N(N-1)/2)^2 float64 entries, 32 MB
 #: at 64, and its output rows take several times that.
 MAX_GRAM_SUM = 64
-#: Most cells of an ``eval --grid`` or ``expand``/``solve --grid`` output.
+#: Most cells of an ``eval --grid`` or ``expand``/``solve --grid`` output or an input grid file.
 MAX_GRID_CELLS = 512 * 512
 #: Largest m + n for ``moments m n``: the angular constant's (2(m+n))!!
 #: overflows a double beyond it.
@@ -382,7 +388,7 @@ _VERIFY_RADII = range(1, 11)
 _VERIFY_RADIUS_DEN = 11
 
 
-def _sign_mismatches(indices: Sequence[PQIndex]) -> list[float]:
+def _sign_mismatches(indices: Sequence[PQIndex]):
     """Scaled deviation of the factored route from the exact polynomial,
     per index, with every factored value from one :func:`mode_kernels` call."""
     import numpy as np
@@ -394,7 +400,7 @@ def _sign_mismatches(indices: Sequence[PQIndex]) -> list[float]:
         exact = (profile.numerators_at(_VERIFY_RADII, _VERIFY_RADIUS_DEN) for profile in profiles)
         deviation, scale = factored_deviation(r, kernel, exact)
         out[positions] = deviation / scale
-    return out.tolist()
+    return out
 
 
 def _failures(bad: list[PQIndex], **counts: int) -> dict:
@@ -402,13 +408,10 @@ def _failures(bad: list[PQIndex], **counts: int) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_sum < 2:
-        raise CLIError("max_sum must be >= 2")
     if args.max_sum > MAX_VERIFY_SUM:
         raise CLIError(f"max_sum must be <= {MAX_VERIFY_SUM} (limit on exact work)")
-    from .quadrature import gram
-
     indices = basis_indices(args.max_sum)
+    from .quadrature import gram
 
     route_bad = [
         i for i in indices if not rodrigues_profile(i).same_polynomial(radial_sum_profile(i))
@@ -421,13 +424,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except NotDivisibleError:
             boundary_bad.append(idx)
 
-    sign_table = []
-    worst_mismatch = 0.0
-    for idx, mismatch in zip(indices, _sign_mismatches(indices)):
-        entry = sign_resolution(idx)
-        entry["mismatch"] = mismatch
-        worst_mismatch = max(worst_mismatch, mismatch)
-        sign_table.append(entry)
+    records = [sign_resolution(idx) for idx in indices]
+    text = [[json.dumps(record[key]) for record in records] for key in records[0]]
+    sign_table = Table([*records[0], "mismatch"], text, _sign_mismatches(indices)[:, None])
+    worst_mismatch = float(sign_table.values.max())
     sign_ok = worst_mismatch <= 1e-12
 
     matrix = gram(indices)
@@ -464,13 +464,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gram(args: argparse.Namespace) -> int:
-    if args.max_sum < 2:
-        raise CLIError("max_sum must be >= 2")
     if args.max_sum > MAX_GRAM_SUM:
         raise CLIError(f"max_sum must be <= {MAX_GRAM_SUM} (limit on float work)")
+    indices = basis_indices(args.max_sum)
     from .quadrature import gram
 
-    indices = basis_indices(args.max_sum)
     matrix = gram(indices)
     labels = [f"{idx.p},{idx.q}" for idx in indices]
     payload = {
@@ -627,12 +625,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CLIError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ArithmeticError) as exc:
-        # ConvergenceError is raised only inside jacobi, so it is loaded by then
-        from .jacobi import ConvergenceError
-
-        if not isinstance(exc, (SignValidationError, ConvergenceError, ArithmeticError)):
-            raise
+    except (SignValidationError, ArithmeticError) as exc:
         print(f"error: internal failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

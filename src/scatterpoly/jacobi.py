@@ -20,7 +20,7 @@ import numpy as np
 ArrayLike = Union[float, np.ndarray]
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(RuntimeError, ArithmeticError):
     """Newton iteration for quadrature nodes failed to converge."""
 
 

@@ -34,7 +34,7 @@ import random
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import zip_longest
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
@@ -345,23 +345,16 @@ def _mode_plan(indices: Sequence[PQIndex]) -> tuple:
     return tuple(plan), MappingProxyType({n: max(nus) + 1 for n, (_, nus) in modes.items()})
 
 
-class _BasisPlan:
-    """The layout of the basis with p + q <= max_sum, one per truncation:
-    its PQIndex objects, which :func:`basis_indices` hands out, and from
-    the first float call on, their :func:`_mode_plan`."""
-
-    def __init__(self, max_sum: int) -> None:
-        self.indices = tuple(
-            PQIndex(p, q) for p in range(1, max_sum) for q in range(1, max_sum - p + 1)
-        )
-
-    @cached_property
-    def modes(self) -> tuple:
-        return _mode_plan(self.indices)
+@lru_cache(maxsize=8)
+def _basis(max_sum: int) -> tuple[PQIndex, ...]:
+    """The basis with p + q <= max_sum as one tuple, which :func:`basis_indices` copies."""
+    return tuple(PQIndex(p, q) for p in range(1, max_sum) for q in range(1, max_sum - p + 1))
 
 
-#: The plans of the last few truncations used.
-_basis_plan = lru_cache(maxsize=8)(_BasisPlan)
+@lru_cache(maxsize=8)
+def _basis_modes(max_sum: int) -> tuple:
+    """The :func:`_mode_plan` of :func:`_basis`, built at the first float call."""
+    return _mode_plan(_basis(max_sum))
 
 
 def mode_kernels(
@@ -383,8 +376,8 @@ def mode_kernels(
 
     indices = tuple(indices)
     top = indices[-1].p + 1 if indices else 0
-    plan = _basis_plan(top) if len(indices) == top * (top - 1) // 2 > 0 else None
-    modes, need = plan.modes if plan and indices == plan.indices else _mode_plan(indices)
+    basis = len(indices) == top * (top - 1) // 2 > 0 and indices == _basis(top)
+    modes, need = _basis_modes(top) if basis else _mode_plan(indices)
     _check_modes(need)
     groups = [(abs(n), nus, np.asarray(_CHECKED[n])[nus]) for n, _, nus in modes]
     max_nu = max(need.values(), default=1) - 1
@@ -443,7 +436,7 @@ def basis_indices(max_sum: int) -> list[PQIndex]:
     """All (p, q) with p, q >= 1 and p + q <= max_sum, lexicographic, in a new list."""
     if max_sum < 2:
         raise ValueError("max_sum must be >= 2")
-    return list(_basis_plan(max_sum).indices)
+    return list(_basis(max_sum))
 
 
 def norm_sq(idx: PQIndex) -> float:

@@ -103,8 +103,6 @@ def expand(
     4 * truncation + 16, enough for every in-range angular mode and for
     polynomial targets of matching degree.
     """
-    if truncation < 2:
-        raise ValueError("truncation must be >= 2")
     order = radial_order if radial_order is not None else truncation + 8
     points = angular_points if angular_points is not None else 4 * truncation + 16
     indices = basis_indices(truncation)

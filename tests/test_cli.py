@@ -153,6 +153,17 @@ class TestFormatting:
         with pytest.raises(NonFiniteOutputError):
             render_json([np.float32("nan")])
 
+    def test_sign_table_renders_as_its_records(self):
+        # verify's sign table: ints, true/false, a float and a zero
+        records = [
+            dict(p=1, q=2, resolved_sign=-1, rule_sign=1, agrees=False, mismatch=0.0),
+            dict(p=3, q=3, resolved_sign=1, rule_sign=1, agrees=True, mismatch=2.5e-16),
+        ]
+        keys = ["p", "q", "resolved_sign", "rule_sign", "agrees"]
+        text = [[json.dumps(record[key]) for record in records] for key in keys]
+        table = Table([*keys, "mismatch"], text, [[record["mismatch"]] for record in records])
+        assert render_json({"sign_table": table}) == render_json({"sign_table": records})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_render_json_rejects_non_finite(self, value):
         with pytest.raises(NonFiniteOutputError):
@@ -256,6 +267,7 @@ class TestVerify:
 
     def test_rejects_small_max_sum(self, capsys):
         assert main(["verify", "1"]) == 2
+        assert capsys.readouterr().err == "error: max_sum must be >= 2\n"
 
     def test_sign_mismatch_matches_the_fraction_reference(self):
         # reference: exact values as Fractions, one scalar evaluation per
@@ -547,6 +559,35 @@ class TestGridFileErrors:
     def test_missing_file(self, capsys):
         assert main(["expand", "nope.csv"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_field_over_the_csv_limit(self, capsys):
+        with open("bad.csv", "w") as fh:
+            fh.write("r,theta,re,im\n0,0,1,0\n0.5,0,1," + "0" * (csv.field_size_limit() + 1) + "\n")
+        assert main(["expand", "bad.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "bad.csv: line 3: field larger than field limit" in err
+        assert os.listdir() == ["bad.csv"]
+
+    def test_not_utf8(self, capsys):
+        with open("bad.csv", "wb") as fh:
+            fh.write(b"r,theta,re,im\n0,0,1,0\n0.5,0,\xff,0\n")
+        assert main(["expand", "bad.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read bad.csv: 'utf-8' codec can't decode byte 0xff")
+        assert os.listdir() == ["bad.csv"]
+
+    def test_rows_over_the_limit(self, capsys, monkeypatch):
+        # reading stops at the first row over the limit: the bad row after it is never parsed
+        monkeypatch.setattr("scatterpoly.cli.MAX_GRID_CELLS", 4)
+        rows = "".join(f"{r},{t},1,0\n" for r in (0, 0.5) for t in (0, 3))
+        with open("big.csv", "w") as fh:
+            fh.write("r,theta,re,im\n" + rows + "0.7,0,1,0\nx\n")
+        assert main(["expand", "big.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: big.csv: more than 4 data rows (limit on float work)\n"
+        with open("big.csv", "w") as fh:  # at the limit, a blank line not counted
+            fh.write("r,theta,re,im\n\n" + rows)
+        assert main(["expand", "big.csv", "--trunc", "2"]) == 0
 
     @pytest.mark.parametrize(
         "row,field",

@@ -26,6 +26,8 @@ CASES = {
     "table_limit": CLI.format(argv=["table", "1", "1000"], code=2),
     "verify_limit": CLI.format(argv=["verify", "65"], code=2),
     "gram_limit": CLI.format(argv=["gram", "65"], code=2),
+    "verify_too_small": CLI.format(argv=["verify", "1"], code=2),
+    "gram_too_small": CLI.format(argv=["gram", "1"], code=2),
     "trunc_limit": CLI.format(argv=["solve", "builtin:one", "--trunc", "129"], code=2),
     "eval_limit": CLI.format(argv=["eval", "1", "128"], code=2),
     "grid_limit": CLI.format(argv=["eval", "1", "1", "--grid", "513x512"], code=2),

@@ -244,6 +244,7 @@ class TestGaussLegendre:
 
     def test_error_type_exists(self):
         assert issubclass(ConvergenceError, RuntimeError)
+        assert issubclass(ConvergenceError, ArithmeticError)  # the CLI exits 1 on it
 
     def test_rule_is_cached_and_frozen(self):
         assert gauss_legendre(9) is gauss_legendre(9)

@@ -374,10 +374,10 @@ class TestModePlan:
         # a table sorts its keys, so a shuffled one is the basis table again
         regrouped = ExpansionTable({idx: table.coefficient(idx) for idx in shuffled}, 24)
         r, theta = polar_grid(16, 32)
-        hits = scattering._basis_plan.cache_info().hits
+        hits = scattering._basis_modes.cache_info().hits
         cached = reconstruct(table, r, theta).values
         assert np.array_equal(reconstruct(regrouped, r, theta).values, cached)
-        assert scattering._basis_plan.cache_info().hits == hits + 2
+        assert scattering._basis_modes.cache_info().hits == hits + 2
 
 
 class TestModeChecks:

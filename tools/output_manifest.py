@@ -4,14 +4,16 @@ Usage, once per source tree, on one machine:
 
     PYTHONPATH=src python tools/output_manifest.py > manifest.txt
 
-Each command runs as ``python -m scatterpoly ...`` in a fresh empty
-directory under one temporary directory, with default output names.  One
-line per command gives the sha256 of its exit code, stdout and stderr,
-and one line per file it wrote the sha256 of that file; the last line is
-the sha256 of all the lines before it, the manifest hash.  Two trees whose
-manifest hashes agree wrote the same bytes everywhere.  ``gram`` goes
-through BLAS, so hashes can differ between machines: compare only
-manifests made on the same machine with the same numpy.
+Each run is one command, or a sequence of commands sharing one directory
+(a grid file written by one and read by the next), as ``python -m
+scatterpoly ...`` in a fresh empty directory under one temporary
+directory, with default output names.  Three lines per command give the
+sha256 of its exit code, stdout and stderr, and one line per file the run
+wrote the sha256 of that file; the last line is the sha256 of all the
+lines before it, the manifest hash.  Two trees whose manifest hashes
+agree wrote the same bytes everywhere.  ``gram`` goes through BLAS, so
+hashes can differ between machines: compare only manifests made on the
+same machine with the same numpy.
 """
 
 from __future__ import annotations
@@ -43,11 +45,24 @@ COMMANDS = [
     ["expand", "builtin:one", "--trunc", "16"],
     ["moments", "2", "3"],
     ["moments", "2", "3", "--eps-ladder", "1e-2,1e-4,1e-6,1e-8"],
-    # limit exits: each exits 2 before any output
+    # limit and input exits: each exits 2 before any output
     ["expand", "builtin:phi_1_200"],
     ["solve", "builtin:nope"],
     ["expand", "builtin:phi_0_3"],
+    ["verify", "1"],
+    ["gram", "1"],
+    ["eval", "0", "3"],
 ]
+
+#: A grid file round trip: written by ``eval``, read by ``expand`` and ``solve``.
+GRID_FILE_RUN = [
+    ["eval", "2", "3", "--grid", "48x96", "--out", "grid.csv"],
+    ["expand", "grid.csv", "--format", "csv"],
+    ["expand", "grid.csv", "--format", "json"],
+    ["solve", "grid.csv", "--grid", "32x64"],
+]
+
+RUNS = [[argv] for argv in COMMANDS] + [GRID_FILE_RUN]
 
 
 def sha256(data: bytes) -> str:
@@ -55,24 +70,29 @@ def sha256(data: bytes) -> str:
 
 
 def main() -> int:
-    # absolute entries, since every command runs in a directory of its own
+    # absolute entries, since every run has a directory of its own
     given = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(Path(d).resolve()) for d in given if d))
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for number, argv in enumerate(COMMANDS):
-            label = " ".join(argv)
+        for number, run in enumerate(RUNS):
             work = Path(tmp) / str(number)
             work.mkdir()
-            proc = subprocess.run(
-                [sys.executable, "-m", "scatterpoly", *argv], cwd=work, env=env, capture_output=True
-            )
-            entry = [
-                f"{sha256(str(proc.returncode).encode())}  {label} :: exit {proc.returncode}",
-                f"{sha256(proc.stdout)}  {label} :: stdout",
-                f"{sha256(proc.stderr)}  {label} :: stderr",
-            ] + [
-                f"{sha256(output.read_bytes())}  {label} :: {output.name}"
+            entry = []
+            for argv in run:
+                label = " ".join(argv)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "scatterpoly", *argv],
+                    cwd=work, env=env, capture_output=True,
+                )
+                entry += [
+                    f"{sha256(str(proc.returncode).encode())}  {label} :: exit {proc.returncode}",
+                    f"{sha256(proc.stdout)}  {label} :: stdout",
+                    f"{sha256(proc.stderr)}  {label} :: stderr",
+                ]
+            files_label = " && ".join(" ".join(argv) for argv in run)
+            entry += [
+                f"{sha256(output.read_bytes())}  {files_label} :: {output.name}"
                 for output in sorted(work.iterdir())
             ]
             print("\n".join(entry), flush=True)
