@@ -226,11 +226,11 @@ def _parse_grid_spec(spec: str) -> tuple[int, int]:
 def _grid_rows(path: str) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) per row after a grid file's header; read faults exit 2 naming it."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             if [cell.strip() for cell in next(reader, [])] != ["r", "theta", "re", "im"]:
                 raise CLIError(f"{path}: line 1: expected header r,theta,re,im")
-            yield from enumerate(reader, start=2)
+            yield from ((reader.line_num, row) for row in reader)
     except (OSError, UnicodeDecodeError) as exc:
         raise CLIError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
@@ -240,7 +240,10 @@ def _grid_rows(path: str) -> Iterator[tuple[int, list[str]]]:
 def _load_grid_csv(path: str) -> GridSample:
     """Read an r,theta,re,im grid file, reporting the offending line."""
     table: dict[tuple[float, float], tuple[int, complex]] = {}
+    max_lines = 2 * MAX_GRID_CELLS + 1  # room for a blank line after each data row
     for line_no, row in _grid_rows(path):
+        if line_no > max_lines:
+            raise CLIError(f"{path}: more than {max_lines} lines (limit on float work)")
         if not row:
             continue
         if len(table) == MAX_GRID_CELLS:
@@ -403,6 +406,14 @@ def _sign_mismatches(indices: Sequence[PQIndex]):
     return out
 
 
+def _sign_table(indices: Sequence[PQIndex]) -> Table:
+    """``verify``'s sign table; :func:`_sign_mismatches` checks every mode before any lookup."""
+    mismatches = _sign_mismatches(indices)
+    records = [sign_resolution(idx) for idx in indices]
+    text = [[json.dumps(record[key]) for record in records] for key in records[0]]
+    return Table([*records[0], "mismatch"], text, mismatches[:, None])
+
+
 def _failures(bad: list[PQIndex], **counts: int) -> dict:
     return {"pass": not bad, **counts, "failures": [[i.p, i.q] for i in bad]}
 
@@ -424,9 +435,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except NotDivisibleError:
             boundary_bad.append(idx)
 
-    records = [sign_resolution(idx) for idx in indices]
-    text = [[json.dumps(record[key]) for record in records] for key in records[0]]
-    sign_table = Table([*records[0], "mismatch"], text, _sign_mismatches(indices)[:, None])
+    sign_table = _sign_table(indices)
     worst_mismatch = float(sign_table.values.max())
     sign_ok = worst_mismatch <= 1e-12
 

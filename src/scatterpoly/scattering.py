@@ -15,11 +15,11 @@ Both exact routes work on integer w-profiles
 section 8) and become a :class:`BivariatePoly` only at the end.  The
 factored route takes its prefactor (-1)^(q+1) max{p,q}/q from the closed
 form of math_notes section 2.1; the printed rule (-1)^(q + max{p,q}) is
-wrong whenever max{p,q} is even.  Each prefactor is checked once, a mode
-at a time, against the binomial sum evaluated exactly in integers, and
-cached (a form is built per lookup), so the float routes never build a
-Rodrigues polynomial; ``verify`` and the tests compare the forms with the
-Rodrigues route itself, both by :func:`factored_deviation`.
+wrong whenever max{p,q} is even.  Each prefactor is checked once, at
+radii shared by every mode, against the binomial sum evaluated exactly in
+integers, and cached (a form is built per lookup), so the float routes
+never build a Rodrigues polynomial; ``verify`` and the tests compare the
+forms with the Rodrigues route itself, both by :func:`factored_deviation`.
 
 Import boundary: the exact half of this module needs neither numpy nor
 :mod:`scatterpoly.jacobi`.  The float members (the :class:`RadialForm`
@@ -35,7 +35,7 @@ from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
@@ -246,61 +246,52 @@ def factored_deviation(
     import numpy as np
 
     approx = (1.0 - r * r)[:, None] * kernel
-    values = np.array([[num / den for num in numerators] for numerators, den in exact]).T
+    flat = (num / den for numerators, den in exact for num in numerators)
+    values = np.fromiter(flat, float).reshape(-1, len(r)).T
     scale = np.maximum(1.0, np.max(np.abs(values), axis=0))
     return np.max(np.abs(approx - values), axis=0), scale
-
-
-#: Dyadic radii per angular mode in the construction-time check.
-_CHECK_RADII = 20
-
-
-def _check_mode(n: int, nus: range) -> list[float]:
-    """Closed-form prefactors of the members nu in nus of mode n, checked.
-
-    Prefactor (-1)^(q+1) * max{p,q}/q (docs/math_notes.md section 2.1).
-    One seeded set of dyadic radii serves the mode: one kernel table there
-    against each member's exact binomial sum (:func:`radial_sum_values`)
-    by :func:`factored_deviation`; beyond 1e-12 of a member's scale it raises
-    :class:`SignValidationError` naming the member: a bug, not a convention issue.
-    """
-    import numpy as np
-
-    from .jacobi import radial_kernels
-
-    p0, q0 = (1, 1 + n) if n >= 0 else (1 - n, 1)  # the member with nu = 0
-    members = [PQIndex(p0 + nu, q0 + nu) for nu in nus]
-    prefactors = [(-1) ** (i.q + 1) * (max(i.p, i.q) / i.q) for i in members]
-    radii = sorted(random.Random(f"mode {n}").sample(range(1, _RADIUS_DEN), _CHECK_RADII))
-    r = np.array(radii) / _RADIUS_DEN
-    kernel = next(radial_kernels([(abs(n), nus, prefactors)], r, nus[-1]))
-    deviation, scale = factored_deviation(r, kernel, (radial_sum_values(i, radii) for i in members))
-    for idx, failed in zip(members, (deviation > 1e-12 * scale).tolist()):
-        if failed:
-            raise SignValidationError(
-                f"closed-form factored route disagrees with the exact polynomial for {idx}"
-            )
-    return prefactors
 
 
 #: The checked prefactors of each mode n, for nu = 0, 1, ...: jacobi_form's cache.
 _CHECKED: dict[int, list[float]] = defaultdict(list)
 _LOOKUPS: Counter = Counter()
 _CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+#: The construction check's radii a/1024: one seeded draw of 20 distinct a, shared by every mode.
+_CHECK_RADII = tuple(sorted(random.Random("check radii").sample(range(1, _RADIUS_DEN), 20)))
 
 
 def _check_modes(need: dict[int, int]) -> None:
-    """Check each mode n up to nu = need[n] - 1, in order of nu and each
-    member once, so a growing mode checks its new members only; a lookup
-    that checks nothing is a hit, each member checked a miss."""
-    checked = 0
-    for n, count in need.items():
-        have = len(_CHECKED[n])
-        if have < count:
-            # a slice, not an append: threads that check the same members store the same values
-            _CHECKED[n][have:count] = _check_mode(n, range(have, count))
-            checked += count - have
-    _LOOKUPS.update(hits=0 if checked else 1, misses=checked)
+    """Check each mode n up to nu = need[n] - 1, each member once; a lookup
+    that checks nothing is a hit, each member checked a miss.  Every new
+    member's prefactor (-1)^(q+1) max{p,q}/q (docs/math_notes.md section 2.1)
+    is compared in one kernel table at :data:`_CHECK_RADII` with its exact
+    binomial sum (:func:`radial_sum_values`) by :func:`factored_deviation`.  Beyond
+    1e-12 of its scale it raises :class:`SignValidationError` naming the member, a bug,
+    not a convention issue, with the modes before its mode in need order stored."""
+    new = [(n, range(have, end)) for n, end in need.items() if (have := len(_CHECKED[n])) < end]
+    if not new:
+        _LOOKUPS["hits"] += 1
+        return
+    import numpy as np
+
+    from .jacobi import radial_kernels
+
+    members = [PQIndex(nu + 1 + max(-n, 0), nu + 1 + max(n, 0)) for n, nus in new for nu in nus]
+    prefactors = ((-1) ** (i.q + 1) * (max(i.p, i.q) / i.q) for i in members)
+    groups = [(abs(n), nus, list(islice(prefactors, len(nus)))) for n, nus in new]
+    r = np.array(_CHECK_RADII) / _RADIUS_DEN
+    kernel = np.hstack(list(radial_kernels(groups, r, max(nus[-1] for _, nus in new))))
+    exact = (radial_sum_values(i, _CHECK_RADII) for i in members)
+    deviation, scale = factored_deviation(r, kernel, exact)
+    failed = [i for i, bad in zip(members, (deviation > 1e-12 * scale).tolist()) if bad]
+    for (n, nus), (_, _, checked) in zip(new, groups):
+        if failed and failed[0].angular_frequency == n:
+            raise SignValidationError(
+                f"closed-form factored route disagrees with the exact polynomial for {failed[0]}"
+            )
+        # a slice, not an append: threads that check the same members store the same values
+        _CHECKED[n][nus.start:nus.stop] = checked
+    _LOOKUPS["misses"] += len(members)
 
 
 def jacobi_form(idx: PQIndex) -> RadialForm:

@@ -286,6 +286,21 @@ class TestVerify:
         assert str(MAX_VERIFY_SUM) in capsys.readouterr().err
         assert not os.path.exists("verify_report.json")
 
+    def test_cold_verify_runs_one_table_per_node_set(self, monkeypatch):
+        # the construction check's radii, the sign table's radii k/11 and the
+        # Gram nodes: the records are looked up after the checks, not before
+        node_sets = []
+        table = jacobi.jacobi_table
+
+        def counted(m, max_degree, x):
+            node_sets.append(np.asarray(x).tobytes())
+            return table(m, max_degree, x)
+
+        monkeypatch.setattr(jacobi, "jacobi_table", counted)
+        jacobi_form.cache_clear()
+        assert main(["verify", "12"]) == 0
+        assert len(node_sets) == len(set(node_sets)) == 3
+
 
 class TestGram:
     def test_csv_diagonal(self, capsys):
@@ -381,6 +396,14 @@ class TestExpand:
         assert rows[0] == ["p", "q", "re", "im"]
         grid_rows = read_csv("expansion_grid.csv")
         assert len(grid_rows) == 1 + 4 * 8
+
+    def test_byte_order_mark(self):
+        # a spreadsheet export starts with one: the same coefficients, byte for byte
+        assert main(["eval", "2", "3", "--grid", "16x32", "--out", "grid.csv"]) == 0
+        Path("bom.csv").write_bytes(b"\xef\xbb\xbf" + Path("grid.csv").read_bytes())
+        assert main(["expand", "grid.csv", "--format", "csv", "--out", "plain.csv"]) == 0
+        assert main(["expand", "bom.csv", "--format", "csv", "--out", "bom_out.csv"]) == 0
+        assert Path("bom_out.csv").read_bytes() == Path("plain.csv").read_bytes()
 
     def test_byte_identical_reruns(self):
         main(["expand", "builtin:phi_1_2", "--trunc", "6"])
@@ -588,6 +611,15 @@ class TestGridFileErrors:
         with open("big.csv", "w") as fh:  # at the limit, a blank line not counted
             fh.write("r,theta,re,im\n\n" + rows)
         assert main(["expand", "big.csv", "--trunc", "2"]) == 0
+
+    def test_lines_over_the_limit(self, capsys, monkeypatch):
+        # blank lines count too: reading stops at line 2 * 4 + 2, before the bad row
+        monkeypatch.setattr("scatterpoly.cli.MAX_GRID_CELLS", 4)
+        with open("blank.csv", "w") as fh:
+            fh.write("r,theta,re,im\n" + "\n" * 20 + "x\n")
+        assert main(["expand", "blank.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: blank.csv: more than 9 lines (limit on float work)\n"
 
     @pytest.mark.parametrize(
         "row,field",

@@ -381,7 +381,7 @@ class TestModePlan:
 
 
 class TestModeChecks:
-    """The construction check runs a mode at a time, once per member."""
+    """The construction check runs once per member, every mode at one set of radii."""
 
     @pytest.fixture
     def checked(self, monkeypatch):
@@ -408,11 +408,10 @@ class TestModeChecks:
         monkeypatch.setattr(jacobi, "jacobi_table", counted)
         indices = basis_indices(32)
         gram(indices)
-        modes = {idx.angular_frequency for idx in indices}
-        # one table at each mode's check radii plus one at the Gram nodes,
-        # not one per mode at the Gram nodes or one per index
+        # one table at the check radii, shared by every mode, plus one at the
+        # Gram nodes: not one per mode or one per index
         assert max(Counter(node_sets).values()) == 1
-        assert len(node_sets) == len(modes) + 1
+        assert len(node_sets) == 2
         assert sorted(checked) == sorted(indices)
 
     def test_growing_a_mode_checks_only_new_members(self, checked):

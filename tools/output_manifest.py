@@ -36,6 +36,8 @@ COMMANDS = [
     ["verify", "12"],
     ["verify", "24"],
     ["verify", "64"],
+    ["table", "12", "17"],
+    ["table", "3", "4", "--out", "t.txt"],
     ["gram", "14"],
     ["gram", "64"],
     ["gram", "64", "--format", "json"],
