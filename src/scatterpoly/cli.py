@@ -314,7 +314,11 @@ def _resolve_input(spec: str) -> tuple[Callable[[float, float], complex], str]:
         return (lambda r, theta: (1.0 - r * r) * (1.0 - r * r) + 0j), spec
     if match:
         return basis_function(idx), spec
-    return grid_interpolant(_load_grid_csv(spec)), spec
+    sample = _load_grid_csv(spec)
+    try:
+        return grid_interpolant(sample), spec
+    except ValueError as exc:
+        raise CLIError(f"{spec}: {exc}") from exc
 
 
 def _grid_table(r, theta, values) -> Table:

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, defaultdict, namedtuple
+import threading
+from collections import Counter, OrderedDict, defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -307,6 +308,9 @@ def jacobi_form(idx: PQIndex) -> RadialForm:
 
 
 def _forget_checks() -> None:
+    """Forget every check, and every kept kernel set, which embeds checked prefactors."""
+    with _STORE_LOCK:
+        _KERNEL_STORES.clear()
     _CHECKED.clear()
     _LOOKUPS.clear()
 
@@ -348,6 +352,13 @@ def _basis_modes(max_sum: int) -> tuple:
     return _mode_plan(_basis(max_sum))
 
 
+def _basis_size(indices: tuple) -> int:
+    """T when indices is the cached :func:`_basis` of T, found by one tuple
+    comparison, else 0."""
+    top = indices[-1].p + 1 if indices and isinstance(indices[-1], PQIndex) else 0
+    return top if len(indices) == top * (top - 1) // 2 > 0 and indices == _basis(top) else 0
+
+
 def mode_kernels(
     indices: Sequence[PQIndex], r: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -366,14 +377,53 @@ def mode_kernels(
     from .jacobi import radial_kernels
 
     indices = tuple(indices)
-    top = indices[-1].p + 1 if indices else 0
-    basis = len(indices) == top * (top - 1) // 2 > 0 and indices == _basis(top)
-    modes, need = _basis_modes(top) if basis else _mode_plan(indices)
+    top = _basis_size(indices)
+    modes, need = _basis_modes(top) if top else _mode_plan(indices)
     _check_modes(need)
     groups = [(abs(n), nus, np.asarray(_CHECKED[n])[nus]) for n, _, nus in modes]
     max_nu = max(need.values(), default=1) - 1
     kernels = radial_kernels(groups, np.asarray(r, dtype=float), max_nu)
     return ((n, positions, kernel) for (n, positions, _), kernel in zip(modes, kernels))
+
+
+#: Largest kernel set, in bytes, that a kernel store keeps (README, limits table):
+#: the projection set of T = 64, 1.1 MB, is kept; that of T = 128, 8.8 MB,
+#: is built per call.
+_KEPT_KERNEL_BYTES = 2 << 20
+#: Kernel sets of whole bases at the node sets the library picks, one store
+#: per node-set family, each an LRU of the last 8 keys; emptied with the checks.
+_KERNEL_STORES: dict[str, OrderedDict] = defaultdict(OrderedDict)
+_STORE_LOCK = threading.Lock()
+
+
+def _kept_kernels(
+    indices: Sequence[PQIndex], r: np.ndarray, store: str, *rule: int
+) -> Iterable[tuple[int, np.ndarray, np.ndarray]]:
+    """:func:`mode_kernels` of indices at r, kept read-only when indices is a
+    basis.  ``store`` names a family of node sets and (T, *rule) the member
+    that r is, so one key always means the same nodes.  Members are checked
+    at every call, as by mode_kernels; a set above :data:`_KEPT_KERNEL_BYTES`
+    is built lazily and not kept, like any other sequence."""
+    indices = tuple(indices)
+    top = _basis_size(indices)
+    if not top or 8 * len(indices) * len(r) > _KEPT_KERNEL_BYTES:
+        return mode_kernels(indices, r)
+    kept, key = _KERNEL_STORES[store], (top, *rule)
+    with _STORE_LOCK:
+        hit = kept.get(key)
+        if hit is not None:
+            kept.move_to_end(key)
+    if hit is not None:
+        _check_modes(_basis_modes(top)[1])
+        return hit
+    built = tuple(mode_kernels(indices, r))
+    for _, _, kernel in built:
+        kernel.flags.writeable = False
+    with _STORE_LOCK:
+        kept[key] = built
+        if len(kept) > 8:
+            kept.popitem(last=False)
+    return built
 
 
 def resolved_sign(idx: PQIndex) -> int:

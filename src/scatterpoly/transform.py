@@ -12,6 +12,9 @@ Both directions take one pass per angular mode n = q - p, whose members
 share one kernel matrix K_n (:func:`scatterpoly.scattering.mode_kernels`):
 projection samples f once, splits modes by FFT and applies K_n^T; synthesis
 stacks the sums (1 - r^2) K_n c_n as columns of A, values = A @ e^(i n theta).
+A whole basis keeps its K_n at the projection rule, as
+:func:`~scatterpoly.quadrature.gram` keeps its own at the Gram rule; caller
+grids, the residual rule and the rim build theirs per call.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -106,9 +110,16 @@ def expand(
     order = radial_order if radial_order is not None else truncation + 8
     points = angular_points if angular_points is not None else 4 * truncation + 16
     indices = basis_indices(truncation)
-    products = inner_products(f, indices, order, points)
-    coefficients = {idx: v / norm_sq(idx) for idx, v in zip(indices, products)}
-    return ExpansionTable(coefficients=coefficients, truncation=truncation)
+    coefficients = inner_products(f, indices, order, points) / _basis_norms(truncation)
+    return ExpansionTable(dict(zip(indices, coefficients.tolist())), truncation)
+
+
+@lru_cache(maxsize=8)
+def _basis_norms(truncation: int) -> np.ndarray:
+    """:func:`norm_sq` of every basis member, read-only, in basis order."""
+    norms = np.array([norm_sq(idx) for idx in basis_indices(truncation)])
+    norms.flags.writeable = False
+    return norms
 
 
 def _synthesize(table: ExpansionTable, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -240,16 +251,26 @@ def grid_interpolant(sample: GridSample) -> DiskFunction:
 
     Radii outside the sampled range take the nearest edge value, so the
     interpolant is defined on the whole closed disk even when the grid
-    stops short of the rim.  The interpolant takes floats or broadcasting
-    arrays, and gives the same value at a point either way.
+    stops short of the rim.  The nodes of either axis may come in any
+    order, and the angles in any window of at most one turn, such as
+    [0, 2 pi), [-pi, pi) or the closed [0, 2 pi]; angles that span more
+    than 2 pi raise ValueError.  The interpolant takes floats or
+    broadcasting arrays, and gives the same value at a point either way.
     """
-    r_nodes = sample.radial_nodes
-    theta_nodes = sample.angular_nodes
-    if r_nodes.size < 1 or theta_nodes.size < 1:
+    if sample.radial_nodes.size < 1 or sample.angular_nodes.size < 1:
         raise ValueError("grid must contain at least one node per direction")
+    rows = np.argsort(sample.radial_nodes, kind="stable")
+    cols = np.argsort(sample.angular_nodes, kind="stable")
+    r_nodes, theta_nodes = sample.radial_nodes[rows], sample.angular_nodes[cols]
+    values = sample.values[np.ix_(rows, cols)]
     two_pi = 2.0 * math.pi
+    span = float(theta_nodes[-1] - theta_nodes[0])
+    if span > two_pi:
+        raise ValueError(f"angular nodes span {span!r}, more than 2 pi")
+    # shift by the multiple of 2 pi that puts the smallest angle in [0, 2 pi)
+    theta_nodes = theta_nodes - math.floor(theta_nodes[0] / two_pi) * two_pi
     theta_ext = np.concatenate([theta_nodes, [theta_nodes[0] + two_pi]])
-    values_ext = np.concatenate([sample.values, sample.values[:, :1]], axis=1)
+    values_ext = np.concatenate([values, values[:, :1]], axis=1)
 
     def bracket(nodes: np.ndarray, x: np.ndarray):
         # nodes[lo] <= x <= nodes[hi]; outside the nodes lo == hi is the nearest

@@ -1,5 +1,6 @@
 """End-to-end command line tests: every command through main(argv)."""
 
+import cmath
 import csv
 import io
 import json
@@ -55,14 +56,14 @@ def read_json(path):
         return json.load(fh)
 
 
-def write_grid_csv(path, f, n_radial, n_angular):
+def write_grid_csv(path, f, n_radial, n_angular, theta0=0.0):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "theta", "re", "im"])
         for i in range(n_radial):
             r = i / n_radial
             for j in range(n_angular):
-                theta = 2.0 * math.pi * j / n_angular
+                theta = theta0 + 2.0 * math.pi * j / n_angular
                 value = f(r, theta)
                 writer.writerow([repr(r), repr(theta), repr(value.real), repr(value.imag)])
 
@@ -426,6 +427,21 @@ class TestExpand:
             if key != (1, 2):
                 assert abs(value) < 2e-3
 
+    def test_signed_angles_expand_like_unsigned_ones(self):
+        # the same nodes written with theta in [-pi, pi): before angles were
+        # shifted into one turn, theta in (pi, 2 pi) took the value at theta = pi
+        f = lambda r, t: (1.0 - r * r) * r * cmath.exp(1j * t)
+        write_grid_csv("unsigned.csv", f, 48, 96)
+        write_grid_csv("signed.csv", f, 48, 96, theta0=-math.pi)
+        tables = []
+        for name in ("unsigned", "signed"):
+            assert main(["expand", f"{name}.csv", "--trunc", "6", "--out", f"{name}.json"]) == 0
+            rows = read_json(f"{name}.json")["coefficients"]
+            tables.append({(r["p"], r["q"]): complex(r["re"], r["im"]) for r in rows})
+        unsigned, signed = tables
+        assert abs(unsigned[(1, 2)] + 1.0) < 1e-2
+        assert max(abs(signed[key] - value) for key, value in unsigned.items()) < 1e-12
+
     def test_residual_decreases_through_csv_pipeline(self):
         # cubic rim factor keeps the interpolant's edge clamp far below the
         # truncation error being compared
@@ -577,6 +593,13 @@ class TestGridFileErrors:
         assert main(["expand", "bad.csv"]) == 2
         err = capsys.readouterr().err
         assert "bad.csv: line 3" in err and "line 2" in err
+        assert os.listdir() == ["bad.csv"]
+
+    def test_angles_over_one_turn(self, capsys):
+        with open("bad.csv", "w") as fh:
+            fh.write("r,theta,re,im\n0,0,1,0\n0,3.5,1,0\n0,7.0,1,0\n")
+        assert main(["expand", "bad.csv"]) == 2
+        assert "bad.csv: angular nodes span 7.0, more than 2 pi" in capsys.readouterr().err
         assert os.listdir() == ["bad.csv"]
 
     def test_missing_file(self, capsys):

@@ -19,10 +19,12 @@ from scatterpoly.quadrature import (
     moment_slope,
     truncated_moment,
 )
+from scatterpoly import jacobi
 from scatterpoly.scattering import (
     PQIndex,
     apply_modified_laplacian,
     basis_indices,
+    jacobi_form,
     norm_sq,
     rodrigues,
 )
@@ -117,6 +119,47 @@ class TestGram:
         matrix = gram(basis_indices(3))
         assert isinstance(matrix, GramMatrix)
         assert matrix.indices == tuple(basis_indices(3))
+
+
+class TestKeptGramKernels:
+    """gram keeps the kernels of a whole basis at its rule, per T."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        node_sets = []
+        table = jacobi.jacobi_table
+
+        def counted(m, max_degree, x):
+            node_sets.append(np.asarray(x).tobytes())
+            return table(m, max_degree, x)
+
+        monkeypatch.setattr(jacobi, "jacobi_table", counted)
+        jacobi_form.cache_clear()
+        yield node_sets
+        jacobi_form.cache_clear()
+
+    def test_cleared_checks_build_the_tables_again(self, tables):
+        indices = basis_indices(24)
+        first = gram(indices).entries
+        assert len(tables) == 2  # the check radii and the Gram nodes
+        assert np.array_equal(gram(indices).entries, first)
+        assert len(tables) == 2  # the kept set: no table
+        jacobi_form.cache_clear()
+        assert np.array_equal(gram(indices).entries, first)
+        assert len(tables) == 4
+        assert jacobi_form.cache_info().misses == len(indices)
+        gram(indices)
+        assert jacobi_form.cache_info().hits == 1  # a kept set still looks its members up
+
+    def test_other_sequences_are_built_per_call(self, tables):
+        indices = basis_indices(12)
+        reordered = indices[1:] + indices[:1]
+        back = np.argsort([indices.index(idx) for idx in reordered])
+        kept = gram(indices).entries
+        tables.clear()
+        for _ in range(2):
+            assert np.allclose(gram(reordered).entries[np.ix_(back, back)], kept, atol=1e-15)
+        assert len(tables) == 2
 
 
 class TestBlockGram:

@@ -7,7 +7,8 @@ import math
 import random
 import sys
 import threading
-from collections import Counter
+import time
+from collections import Counter, OrderedDict, defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +41,9 @@ from scatterpoly.scattering import (
 )
 from scatterpoly.transform import (
     ExpansionTable,
+    boundary_value_check,
     expand,
+    expansion_residual,
     polar_grid,
     reconstruct,
     solve_weighted_poisson,
@@ -378,6 +381,140 @@ class TestModePlan:
         cached = reconstruct(table, r, theta).values
         assert np.array_equal(reconstruct(regrouped, r, theta).values, cached)
         assert scattering._basis_modes.cache_info().hits == hits + 2
+
+
+def store_sizes():
+    return {name: len(kept) for name, kept in scattering._KERNEL_STORES.items()}
+
+
+def bump(r, theta):
+    return (1 - r * r) * (r * np.exp(1j * theta) + 0.5 * r * r * np.exp(-2j * theta) + 0.25)
+
+
+class TestKernelStores:
+    """A whole basis keeps its kernels at the two rules the library picks:
+    the projection rule (per T and radial order) and the Gram rule (per T)."""
+
+    @pytest.fixture(autouse=True)
+    def empty_stores(self):
+        jacobi_form.cache_clear()
+        yield
+        jacobi_form.cache_clear()
+
+    def test_kept_sets_are_fresh_builds_and_read_only(self):
+        expand(bump, 16)
+        gram(basis_indices(16))
+        assert store_sizes() == {"projection": 1, "gram": 1}
+        rule_nodes = lambda order: np.sqrt((1.0 + gauss_legendre(order).nodes) / 2.0)
+        node_sets = {"projection": ((16, 24), rule_nodes(24)), "gram": ((16,), rule_nodes(18))}
+        for name, (key, r) in node_sets.items():
+            kept = scattering._KERNEL_STORES[name][key]
+            fresh = list(mode_kernels(basis_indices(16), r))
+            assert [n for n, _, _ in kept] == [n for n, _, _ in fresh]
+            for (_, positions, kernel), (_, fresh_positions, fresh_kernel) in zip(kept, fresh):
+                assert np.array_equal(positions, fresh_positions)
+                assert np.array_equal(kernel.view(np.int64), fresh_kernel.view(np.int64))
+                assert kernel.flags.c_contiguous and kernel.flags.owndata
+                assert not kernel.flags.writeable
+                with pytest.raises(ValueError):
+                    kernel[0, 0] = 0.0
+
+    def test_each_store_keeps_the_last_eight_keys(self):
+        for top in range(2, 12):
+            gram(basis_indices(top))
+        assert list(scattering._KERNEL_STORES["gram"]) == [(top,) for top in range(4, 12)]
+        gram(basis_indices(4))  # a hit moves its key to the end
+        gram(basis_indices(2))
+        assert list(scattering._KERNEL_STORES["gram"])[-2:] == [(4,), (2,)]
+        assert (5,) not in scattering._KERNEL_STORES["gram"]
+
+    def test_threads_share_the_stores(self, monkeypatch):
+        # more threads than cores, more keys than a store keeps, a short switch
+        # interval, and a store that yields after each access, where an
+        # unlocked lookup would let another thread evict the key it found
+        class Yielding(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                time.sleep(0)
+                return value
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                time.sleep(0)
+
+        monkeypatch.setattr(scattering, "_KERNEL_STORES", defaultdict(Yielding))
+        sizes = range(2, 14)
+        reference = {top: gram(basis_indices(top)).entries for top in sizes}
+        errors, interval = [], sys.getswitchinterval()
+
+        def work(seed):
+            order = list(sizes) * 4
+            random.Random(seed).shuffle(order)
+            try:
+                for top in order:
+                    if not np.array_equal(gram(basis_indices(top)).entries, reference[top]):
+                        errors.append(top)
+            except Exception as exc:  # a store corrupted by a race raises here
+                errors.append(exc)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(scattering._KERNEL_STORES["gram"]) == 8
+
+    def test_per_call_node_sets_are_not_kept(self):
+        table = expand(bump, 12)
+        sizes = store_sizes()
+        r, theta = polar_grid(16, 32)
+        reconstruct(table, r, theta)
+        expansion_residual(bump, table)
+        boundary_value_check(table, 64)
+        mode_kernels(basis_indices(12), np.array([0.5]))
+        shuffled = basis_indices(12)[::-1]
+        inner_products(bump, shuffled, 20, 64)
+        gram(shuffled)
+        assert store_sizes() == sizes
+        # the projection set of T = 128 (8.8 MB) is above the cap and built per call
+        assert 8 * len(basis_indices(128)) * 136 > scattering._KEPT_KERNEL_BYTES
+        assert 8 * len(basis_indices(64)) * 72 <= scattering._KEPT_KERNEL_BYTES
+        inner_products(bump, basis_indices(128), 136, 8)
+        assert store_sizes() == sizes
+
+    def test_expand_keys_its_table_by_the_basis_objects(self):
+        basis = scattering._basis(32)
+        table = expand(bump, 32)
+        for keyed in (table, solve_weighted_poisson(bump, 32)):
+            assert len(keyed.coefficients) == len(basis)
+            assert all(a is b for a, b in zip(keyed.coefficients, basis))
+        products = inner_products(bump, list(basis), 40, 144)
+        # one division by the cached norms, the bits of one division per index
+        assert list(table.coefficients.values()) == [
+            complex(v / norm_sq(idx)) for idx, v in zip(basis, products)
+        ]
+
+    def test_fresh_equal_keys_give_the_same_table(self):
+        table = expand(bump, 12)
+        fresh = {PQIndex(idx.p, idx.q): c for idx, c in reversed(table.items())}
+        rebuilt = ExpansionTable(fresh, 12)
+        assert rebuilt.items() == table.items()
+        r, theta = polar_grid(8, 16)
+        assert np.array_equal(reconstruct(rebuilt, r, theta).values, reconstruct(table, r, theta).values)
+        with pytest.raises(TypeError):
+            ExpansionTable({**fresh, (1, 1): 1.0}, 12)
+        with pytest.raises(TypeError):
+            ExpansionTable({(p, q): 1.0 for p, q in ((1, 1), (1, 2))}, 3)
+        with pytest.raises(ValueError):
+            ExpansionTable({**fresh, PQIndex(6, 7): 1.0}, 12)
+        with pytest.raises(ValueError):
+            ExpansionTable(dict(table.items()), 11)
 
 
 class TestModeChecks:

@@ -344,6 +344,44 @@ class TestGridInterpolant:
         assert interp(0.9, 0.0) == 3.0
         assert interp(-0.2, 0.0) == 1.0
 
+    def test_signed_angles_match_the_unsigned_grid(self):
+        # theta in [-pi, pi) is shifted by one turn; before, theta in
+        # (pi, 2 pi) took the value at the last node
+        f = lambda r, t: (1.0 - r * r) * r * np.exp(1j * t)
+        r, theta = polar_grid(48, 96)
+        unsigned = grid_interpolant(GridSample(r, theta, f(r[:, None], theta[None, :])))
+        signed_theta = theta - math.pi
+        signed = grid_interpolant(GridSample(r, signed_theta, f(r[:, None], signed_theta[None, :])))
+        rng = np.random.default_rng(7)
+        rr, tt = rng.uniform(0.0, 0.95, 200), rng.uniform(-7.0, 7.0, 200)
+        assert np.max(np.abs(signed(rr, tt) - unsigned(rr, tt))) < 1e-12
+        assert abs(signed(0.3, 4.0) - f(0.3, 4.0)) < 1e-3
+
+    def test_permuted_axes_are_sorted_with_their_values(self):
+        f = lambda r, t: (1.0 - r * r) * (r * np.exp(1j * t) + 0.5 * r * r * np.exp(-2j * t))
+        r, theta = polar_grid(16, 32)
+        values = f(r[:, None], theta[None, :])
+        rows, cols = np.random.default_rng(3).permutation(16), np.random.default_rng(4).permutation(32)
+        sorted_interp = grid_interpolant(GridSample(r, theta, values))
+        permuted = grid_interpolant(GridSample(r[rows], theta[cols], values[np.ix_(rows, cols)]))
+        rr, tt = np.linspace(0.0, 0.99, 23)[:, None], np.linspace(-4.0, 9.0, 41)[None, :]
+        assert np.array_equal(permuted(rr, tt), sorted_interp(rr, tt))
+        assert abs(permuted(0.3, 1.0) - f(0.3, 1.0)) < 1e-2
+
+    def test_closed_grid_holds_both_ends_of_the_turn(self):
+        f = lambda r, t: (1.0 - r * r) * r * np.exp(1j * t)
+        r = polar_grid(16, 32)[0]
+        closed = 2.0 * math.pi * np.arange(33) / 32  # 0 .. 2 pi inclusive
+        interp = grid_interpolant(GridSample(r, closed, f(r[:, None], closed[None, :])))
+        open_interp = grid_interpolant(GridSample(r, closed[:-1], f(r[:, None], closed[None, :-1])))
+        rr, tt = np.linspace(0.0, 0.9, 7)[:, None], np.linspace(-7.0, 7.0, 57)[None, :]
+        assert np.max(np.abs(interp(rr, tt) - open_interp(rr, tt))) < 1e-15
+
+    def test_rejects_angles_over_one_turn(self):
+        theta = np.array([0.0, 3.5, 7.0])
+        with pytest.raises(ValueError, match="more than 2 pi"):
+            grid_interpolant(GridSample(np.array([0.0]), theta, np.ones((1, 3))))
+
     def test_smooth_target_accuracy(self):
         f = lambda r, t: (1.0 - r * r) * cmath.exp(1j * t)
         r, theta = polar_grid(64, 128)
