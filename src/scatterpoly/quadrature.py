@@ -24,7 +24,7 @@ import numpy as np
 
 from .jacobi import gauss_legendre
 from .poly_algebra import BivariatePoly, ComplexRational
-from .scattering import PQIndex, _kept_kernels, jacobi_form
+from .scattering import PQIndex, _rule_kernels, jacobi_form
 
 #: f(r, theta) on the disk, on floats or on arrays that broadcast together
 #: (a float-only f costs one call per node, see :func:`sample_polar`).
@@ -98,17 +98,17 @@ def gram(indices: Sequence[PQIndex]) -> GramMatrix:
     the nodes of a Gauss-Legendre rule of order max(p+q) + 2, is exact
     (docs/math_notes.md section 7); its upper triangle is mirrored, so the
     result is symmetric by construction.  Distinct modes are orthogonal.
-    A whole basis keeps its K per truncation, so a repeated call builds no
-    Jacobi table.
+    A whole basis keeps its K in the one kernel cache keyed by (T, order),
+    so a repeated call builds no Jacobi table.
     """
     if not indices:
         raise ValueError("index sequence must be nonempty")
     idx = tuple(indices)
-    rule = gauss_legendre(max(i.p + i.q for i in idx) + 2)
-    u = rule.nodes
-    weight = (math.pi / 2.0) * rule.weights * (1.0 - u) / 2.0
+    order = max(i.p + i.q for i in idx) + 2
+    rule = gauss_legendre(order)
+    weight = (math.pi / 2.0) * rule.weights * (1.0 - rule.nodes) / 2.0
     entries = np.zeros((len(idx), len(idx)))
-    for _, positions, kernel in _kept_kernels(idx, np.sqrt((1.0 + u) / 2.0), "gram"):
+    for _, positions, kernel in _rule_kernels(idx, order):
         block = (kernel.T * weight) @ kernel
         np.copyto(block, block.T, where=np.tri(len(block), k=-1, dtype=bool))
         entries[np.ix_(positions, positions)] = block
@@ -147,7 +147,7 @@ def inner_products(
     Radial direction: Gauss-Legendre in u = 2 r^2 - 1, one product
     K^T (w/4 f_n) per mode against the polynomial kernels phi / (1 - r^2)
     of :func:`mode_kernels`, the weight having cancelled; a whole basis
-    keeps its K per truncation and radial order.
+    keeps its K in the kernel cache keyed by (T, radial order), as gram does.
     """
     if radial_order < 1 or angular_points < 1:
         raise ValueError("quadrature orders must be >= 1")
@@ -156,7 +156,7 @@ def inner_products(
     fhat = np.fft.fft(sample_polar(f, r, angle_grid(angular_points)), axis=1)
     weighted = fhat * (rule.weights / 4.0 * (2.0 * math.pi / angular_points))[:, None]
     out = np.empty(len(indices), dtype=complex)
-    for n, positions, kernel in _kept_kernels(indices, r, "projection", radial_order):
+    for n, positions, kernel in _rule_kernels(indices, radial_order):
         out[positions] = kernel.T @ weighted[:, n % angular_points]
     return out
 

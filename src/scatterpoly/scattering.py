@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import math
 import random
-import threading
-from collections import Counter, OrderedDict, defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -309,8 +308,7 @@ def jacobi_form(idx: PQIndex) -> RadialForm:
 
 def _forget_checks() -> None:
     """Forget every check, and every kept kernel set, which embeds checked prefactors."""
-    with _STORE_LOCK:
-        _KERNEL_STORES.clear()
+    _kept_kernels.cache_clear()
     _CHECKED.clear()
     _LOOKUPS.clear()
 
@@ -368,62 +366,59 @@ def mode_kernels(
     increasing n; column j is ``jacobi_form(indices[positions[j]])
     .radial_kernel(r)``, from the cached prefactors with no form built.
     A basis finds its cached plan by one tuple comparison; other indices
-    are grouped anew.  The checks of new members and the one
-    :func:`~scatterpoly.jacobi.radial_kernels` table over every m = |n|
-    run at the call; each kernel is built as the result is iterated.
+    are grouped anew.  New members are checked, and one table built, at the call.
     """
-    import numpy as np
-
-    from .jacobi import radial_kernels
-
     indices = tuple(indices)
     top = _basis_size(indices)
     modes, need = _basis_modes(top) if top else _mode_plan(indices)
     _check_modes(need)
+    return _plan_kernels(modes, need, r)
+
+
+def _plan_kernels(modes: tuple, need: MappingProxyType, r: np.ndarray) -> Iterator[tuple]:
+    """The kernels of a checked plan at r, from one :func:`~scatterpoly.jacobi.radial_kernels`
+    table over every m = |n|; each kernel is built as the result is iterated."""
+    import numpy as np
+
+    from .jacobi import radial_kernels
+
     groups = [(abs(n), nus, np.asarray(_CHECKED[n])[nus]) for n, _, nus in modes]
-    max_nu = max(need.values(), default=1) - 1
-    kernels = radial_kernels(groups, np.asarray(r, dtype=float), max_nu)
+    kernels = radial_kernels(groups, np.asarray(r, dtype=float), max(need.values(), default=1) - 1)
     return ((n, positions, kernel) for (n, positions, _), kernel in zip(modes, kernels))
 
 
-#: Largest kernel set, in bytes, that a kernel store keeps (README, limits table):
-#: the projection set of T = 64, 1.1 MB, is kept; that of T = 128, 8.8 MB,
-#: is built per call.
+def _rule_radii(order: int) -> np.ndarray:
+    """The radii sqrt((1 + u) / 2) at the nodes u of the Gauss-Legendre rule of order."""
+    import numpy as np
+
+    from .jacobi import gauss_legendre
+
+    return np.sqrt((1.0 + gauss_legendre(order).nodes) / 2.0)
+
+
+#: Largest kernel set, in bytes, that :func:`_kept_kernels` keeps (README, limits table).
 _KEPT_KERNEL_BYTES = 2 << 20
-#: Kernel sets of whole bases at the node sets the library picks, one store
-#: per node-set family, each an LRU of the last 8 keys; emptied with the checks.
-_KERNEL_STORES: dict[str, OrderedDict] = defaultdict(OrderedDict)
-_STORE_LOCK = threading.Lock()
 
 
-def _kept_kernels(
-    indices: Sequence[PQIndex], r: np.ndarray, store: str, *rule: int
-) -> Iterable[tuple[int, np.ndarray, np.ndarray]]:
-    """:func:`mode_kernels` of indices at r, kept read-only when indices is a
-    basis.  ``store`` names a family of node sets and (T, *rule) the member
-    that r is, so one key always means the same nodes.  Members are checked
-    at every call, as by mode_kernels; a set above :data:`_KEPT_KERNEL_BYTES`
-    is built lazily and not kept, like any other sequence."""
-    indices = tuple(indices)
-    top = _basis_size(indices)
-    if not top or 8 * len(indices) * len(r) > _KEPT_KERNEL_BYTES:
-        return mode_kernels(indices, r)
-    kept, key = _KERNEL_STORES[store], (top, *rule)
-    with _STORE_LOCK:
-        hit = kept.get(key)
-        if hit is not None:
-            kept.move_to_end(key)
-    if hit is not None:
-        _check_modes(_basis_modes(top)[1])
-        return hit
-    built = tuple(mode_kernels(indices, r))
+@lru_cache(maxsize=16)
+def _kept_kernels(top: int, order: int) -> tuple:
+    """Read-only kernels of the basis T = top at :func:`_rule_radii` of order; checks no member."""
+    built = tuple(_plan_kernels(*_basis_modes(top), _rule_radii(order)))
     for _, _, kernel in built:
         kernel.flags.writeable = False
-    with _STORE_LOCK:
-        kept[key] = built
-        if len(kept) > 8:
-            kept.popitem(last=False)
     return built
+
+
+def _rule_kernels(indices: Sequence[PQIndex], order: int) -> Iterable[tuple]:
+    """:func:`mode_kernels` of indices at :func:`_rule_radii` of order: a whole basis of
+    T gets the kept set of (T, order), its members looked up at every call as by
+    mode_kernels; other sequences and sets above :data:`_KEPT_KERNEL_BYTES` do not."""
+    indices = tuple(indices)
+    top = _basis_size(indices)
+    if not top or 8 * len(indices) * order > _KEPT_KERNEL_BYTES:
+        return mode_kernels(indices, _rule_radii(order))
+    _check_modes(_basis_modes(top)[1])
+    return _kept_kernels(top, order)
 
 
 def resolved_sign(idx: PQIndex) -> int:

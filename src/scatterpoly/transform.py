@@ -12,9 +12,9 @@ Both directions take one pass per angular mode n = q - p, whose members
 share one kernel matrix K_n (:func:`scatterpoly.scattering.mode_kernels`):
 projection samples f once, splits modes by FFT and applies K_n^T; synthesis
 stacks the sums (1 - r^2) K_n c_n as columns of A, values = A @ e^(i n theta).
-A whole basis keeps its K_n at the projection rule, as
-:func:`~scatterpoly.quadrature.gram` keeps its own at the Gram rule; caller
-grids, the residual rule and the rim build theirs per call.
+A whole basis keeps its K_n in the one kernel cache keyed by (T,
+Gauss-Legendre order) that :func:`~scatterpoly.quadrature.gram` shares;
+caller grids, the residual rule and the rim build theirs per call.
 """
 
 from __future__ import annotations
@@ -75,7 +75,9 @@ class GridSample:
         values = np.asarray(self.values, dtype=complex)
         if values.shape != (r.size, theta.size):
             raise ValueError("values shape must be (radial, angular)")
-        if r.size and (r.min() < 0.0 or r.max() >= 1.0):
+        if not np.isfinite(theta).all():
+            raise ValueError("angular nodes must be finite")
+        if not ((r >= 0.0) & (r < 1.0)).all():
             raise ValueError("radial nodes must lie in [0, 1)")
         object.__setattr__(self, "radial_nodes", r)
         object.__setattr__(self, "angular_nodes", theta)
@@ -236,6 +238,8 @@ def expansion_residual(
     """
     order = radial_order if radial_order is not None else 2 * table.truncation + 12
     points = angular_points if angular_points is not None else 8 * table.truncation + 32
+    if order < 1 or points < 1:
+        raise ValueError("quadrature orders must be >= 1")
     rule = gauss_legendre(order)
     u = rule.nodes
     r = np.sqrt((1.0 + u) / 2.0)

@@ -7,8 +7,7 @@ import math
 import random
 import sys
 import threading
-import time
-from collections import Counter, OrderedDict, defaultdict
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -383,8 +382,12 @@ class TestModePlan:
         assert scattering._basis_modes.cache_info().hits == hits + 2
 
 
-def store_sizes():
-    return {name: len(kept) for name, kept in scattering._KERNEL_STORES.items()}
+def kept_sets():
+    return scattering._kept_kernels.cache_info().currsize
+
+
+def rule_radii(order):
+    return np.sqrt((1.0 + gauss_legendre(order).nodes) / 2.0)
 
 
 def bump(r, theta):
@@ -392,11 +395,11 @@ def bump(r, theta):
 
 
 class TestKernelStores:
-    """A whole basis keeps its kernels at the two rules the library picks:
-    the projection rule (per T and radial order) and the Gram rule (per T)."""
+    """A whole basis keeps its kernels in one cache keyed by (T, Gauss-Legendre
+    order), at the rules the library picks: the projection rule and the Gram rule."""
 
     @pytest.fixture(autouse=True)
-    def empty_stores(self):
+    def empty_cache(self):
         jacobi_form.cache_clear()
         yield
         jacobi_form.cache_clear()
@@ -404,12 +407,10 @@ class TestKernelStores:
     def test_kept_sets_are_fresh_builds_and_read_only(self):
         expand(bump, 16)
         gram(basis_indices(16))
-        assert store_sizes() == {"projection": 1, "gram": 1}
-        rule_nodes = lambda order: np.sqrt((1.0 + gauss_legendre(order).nodes) / 2.0)
-        node_sets = {"projection": ((16, 24), rule_nodes(24)), "gram": ((16,), rule_nodes(18))}
-        for name, (key, r) in node_sets.items():
-            kept = scattering._KERNEL_STORES[name][key]
-            fresh = list(mode_kernels(basis_indices(16), r))
+        assert kept_sets() == 2
+        for order in (24, 18):  # the projection rule T + 8 and the Gram rule T + 2
+            kept = scattering._kept_kernels(16, order)
+            fresh = list(mode_kernels(basis_indices(16), rule_radii(order)))
             assert [n for n, _, _ in kept] == [n for n, _, _ in fresh]
             for (_, positions, kernel), (_, fresh_positions, fresh_kernel) in zip(kept, fresh):
                 assert np.array_equal(positions, fresh_positions)
@@ -418,32 +419,38 @@ class TestKernelStores:
                 assert not kernel.flags.writeable
                 with pytest.raises(ValueError):
                     kernel[0, 0] = 0.0
+        assert kept_sets() == 2
 
-    def test_each_store_keeps_the_last_eight_keys(self):
-        for top in range(2, 12):
+    def test_one_key_means_one_node_set(self):
+        # gram's rule for T and a projection at order T + 2 are the same nodes
+        indices = basis_indices(10)
+        gram(indices)
+        info = scattering._kept_kernels.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        products = inner_products(bump, indices, 12, 48)
+        info = scattering._kept_kernels.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        # the shared set gives the bits of a per-call build at the projection rule
+        assert np.array_equal(products, inner_products(bump, indices[::-1], 12, 48)[::-1])
+
+    def test_the_cache_keeps_the_last_sixteen_keys(self):
+        for top in range(2, 18):
             gram(basis_indices(top))
-        assert list(scattering._KERNEL_STORES["gram"]) == [(top,) for top in range(4, 12)]
-        gram(basis_indices(4))  # a hit moves its key to the end
+        info = scattering._kept_kernels.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (16, 16, 16)
+        gram(basis_indices(2))  # a hit makes (2, 4) the most recent key
+        gram(basis_indices(18))  # so the new key evicts (3, 5)
+        info = scattering._kept_kernels.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 17, 16)
         gram(basis_indices(2))
-        assert list(scattering._KERNEL_STORES["gram"])[-2:] == [(4,), (2,)]
-        assert (5,) not in scattering._KERNEL_STORES["gram"]
+        assert scattering._kept_kernels.cache_info()[:2] == (2, 17)
+        gram(basis_indices(3))
+        assert scattering._kept_kernels.cache_info()[:2] == (2, 18)
 
-    def test_threads_share_the_stores(self, monkeypatch):
-        # more threads than cores, more keys than a store keeps, a short switch
-        # interval, and a store that yields after each access, where an
-        # unlocked lookup would let another thread evict the key it found
-        class Yielding(OrderedDict):
-            def get(self, key, default=None):
-                value = super().get(key, default)
-                time.sleep(0)
-                return value
-
-            def __setitem__(self, key, value):
-                super().__setitem__(key, value)
-                time.sleep(0)
-
-        monkeypatch.setattr(scattering, "_KERNEL_STORES", defaultdict(Yielding))
-        sizes = range(2, 14)
+    def test_threads_share_the_stores(self):
+        # more threads than cores, more keys than the cache keeps, and a short
+        # switch interval, so threads evict each other's keys mid-run
+        sizes = range(2, 20)
         reference = {top: gram(basis_indices(top)).entries for top in sizes}
         errors, interval = [], sys.getswitchinterval()
 
@@ -454,7 +461,7 @@ class TestKernelStores:
                 for top in order:
                     if not np.array_equal(gram(basis_indices(top)).entries, reference[top]):
                         errors.append(top)
-            except Exception as exc:  # a store corrupted by a race raises here
+            except Exception as exc:  # a cache corrupted by a race raises here
                 errors.append(exc)
 
         sys.setswitchinterval(1e-6)
@@ -468,11 +475,11 @@ class TestKernelStores:
         finally:
             sys.setswitchinterval(interval)
         assert errors == []
-        assert len(scattering._KERNEL_STORES["gram"]) == 8
+        assert kept_sets() == 16
 
     def test_per_call_node_sets_are_not_kept(self):
         table = expand(bump, 12)
-        sizes = store_sizes()
+        assert kept_sets() == 1
         r, theta = polar_grid(16, 32)
         reconstruct(table, r, theta)
         expansion_residual(bump, table)
@@ -481,12 +488,12 @@ class TestKernelStores:
         shuffled = basis_indices(12)[::-1]
         inner_products(bump, shuffled, 20, 64)
         gram(shuffled)
-        assert store_sizes() == sizes
+        assert kept_sets() == 1
         # the projection set of T = 128 (8.8 MB) is above the cap and built per call
         assert 8 * len(basis_indices(128)) * 136 > scattering._KEPT_KERNEL_BYTES
         assert 8 * len(basis_indices(64)) * 72 <= scattering._KEPT_KERNEL_BYTES
         inner_products(bump, basis_indices(128), 136, 8)
-        assert store_sizes() == sizes
+        assert kept_sets() == 1
 
     def test_expand_keys_its_table_by_the_basis_objects(self):
         basis = scattering._basis(32)

@@ -283,6 +283,17 @@ class TestResidual:
             res.append(expansion_residual(f, table, radial_order=40, angular_points=128))
         assert res[1] < res[0]
 
+    @pytest.mark.parametrize(
+        "orders",
+        [{"angular_points": 0}, {"angular_points": -4}, {"radial_order": 0}, {"radial_order": -3}],
+    )
+    def test_rejects_orders_below_one(self, orders):
+        f = lambda r, t: (1.0 - r * r) * math.exp(-r * r)
+        table = expand(f, 6)
+        assert expansion_residual(f, table) > 1e-6  # the table is inexact
+        with pytest.raises(ValueError, match="quadrature orders must be >= 1"):
+            expansion_residual(f, table, **orders)
+
 
 class TestPolarGrid:
     def test_shapes_and_ranges(self):
@@ -314,6 +325,19 @@ class TestGridSample:
                 angular_nodes=np.array([0.0]),
                 values=np.zeros((2, 1)),
             )
+
+    @pytest.mark.parametrize(
+        "r,theta",
+        [
+            ([0.0, math.nan], [0.0, 1.0]),
+            ([0.0, 0.5], [0.0, math.nan]),
+            ([0.0, 0.5], [0.0, math.inf]),
+            ([0.0, 0.5], [-math.inf, 1.0]),
+        ],
+    )
+    def test_rejects_non_finite_nodes(self, r, theta):
+        with pytest.raises(ValueError, match="nodes must"):
+            GridSample(radial_nodes=np.array(r), angular_nodes=np.array(theta), values=np.ones((2, 2)))
 
 
 class TestGridInterpolant:
