@@ -238,7 +238,8 @@ def _grid_rows(path: str) -> Iterator[tuple[int, list[str]]]:
 
 
 def _load_grid_csv(path: str) -> GridSample:
-    """Read an r,theta,re,im grid file, reporting the offending line."""
+    """Read an r,theta,re,im grid file, reporting the offending line; its
+    nodes must form a full rectangle of at least 2 radii by 2 angles."""
     table: dict[tuple[float, float], tuple[int, complex]] = {}
     max_lines = 2 * MAX_GRID_CELLS + 1  # room for a blank line after each data row
     for line_no, row in _grid_rows(path):
@@ -281,9 +282,13 @@ def _load_grid_csv(path: str) -> GridSample:
                 )
             values[i, j] = table[(r, theta)][1]
     try:
-        return GridSample(np.array(r_nodes), np.array(theta_nodes), values)
+        sample = GridSample(np.array(r_nodes), np.array(theta_nodes), values)
     except ValueError as exc:
         raise CLIError(f"{path}: {exc}") from exc
+    n_radial, n_angular = values.shape
+    if n_radial < 2 or n_angular < 2:
+        raise CLIError(f"{path}: grid must be at least 2x2, got {n_radial}x{n_angular}")
+    return sample
 
 
 _BUILTIN_PATTERN = re.compile(r"phi_(\d+)_(\d+)")

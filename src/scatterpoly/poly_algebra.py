@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat, zip_longest
 from operator import mul, sub
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 Rational = Fraction
 
@@ -348,13 +348,13 @@ class WProfile:
         same = all(a * other.den == b * self.den for a, b in pairs)
         return same and (self.n == other.n or not any(self.coeffs))
 
+    def monomials(self) -> Iterator[tuple[ExponentPair, int]]:
+        """((a, b), c_k) per term k, z^a zbar^b = z^(k + max(n, 0)) zbar^(k + max(-n, 0))."""
+        a0, b0 = max(self.n, 0), max(-self.n, 0)
+        return (((k + a0, k + b0), ck) for k, ck in enumerate(self.coeffs))
+
     def to_poly(self) -> BivariatePoly:
         """The same polynomial in the general ring."""
-        a0, b0 = (self.n, 0) if self.n >= 0 else (0, -self.n)
         return BivariatePoly(
-            {
-                (k + a0, k + b0): ComplexRational(Fraction(ck, self.den))
-                for k, ck in enumerate(self.coeffs)
-                if ck
-            }
+            {key: ComplexRational(Fraction(ck, self.den)) for key, ck in self.monomials() if ck}
         )

@@ -33,7 +33,6 @@ import math
 import random
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, zip_longest
 from types import MappingProxyType
@@ -156,9 +155,8 @@ def rodrigues_profile(idx: PQIndex) -> WProfile:
     return WProfile(phi.n, tuple(sign * c for c in phi.coeffs), q * math.factorial(p + q - 1))
 
 
-@lru_cache(maxsize=None)
 def rodrigues(idx: PQIndex) -> BivariatePoly:
-    """phi^(p,q) from :func:`rodrigues_profile`, in the general ring."""
+    """phi^(p,q) from :func:`rodrigues_profile`, converted to the general ring per call."""
     return rodrigues_profile(idx).to_poly()
 
 
@@ -178,9 +176,8 @@ def radial_sum_profile(idx: PQIndex) -> WProfile:
     return _sum_kernel(idx).times_boundary()
 
 
-@lru_cache(maxsize=None)
 def radial_sum(idx: PQIndex) -> BivariatePoly:
-    """phi^(p,q) from :func:`radial_sum_profile`, in the general ring."""
+    """phi^(p,q) from :func:`radial_sum_profile`, converted to the general ring per call."""
     return radial_sum_profile(idx).to_poly()
 
 
@@ -200,31 +197,6 @@ def _sum_kernel(idx: PQIndex) -> WProfile:
         term = -term * (deg - k) * (k + 1) // ((k + 1 - p) * (k + 1 - q))
         numerators.append(term)
     return WProfile(idx.angular_frequency, tuple(numerators), q * math.factorial(deg))
-
-
-def radial_profile(poly: BivariatePoly) -> tuple[int, dict[int, Fraction]]:
-    """Collapse a pure-frequency, real-coefficient polynomial to radial form.
-
-    Monomial z^a zbar^b adds its coefficient at r^(a+b); returns
-    (n, {power: coefficient}) with n = a - b, or raises ValueError when
-    frequencies differ or a coefficient is not real.
-    """
-    freq = None
-    profile: dict[int, Fraction] = defaultdict(Fraction)
-    for (a, b), c in sorted(poly.terms.items()):
-        if c.im != 0:
-            raise ValueError("radial profile requires real coefficients")
-        if freq is None:
-            freq = a - b
-        elif a - b != freq:
-            raise ValueError("polynomial mixes angular frequencies")
-        profile[a + b] += c.re
-    return (0 if freq is None else freq), dict(profile)
-
-
-def profile_value(profile: dict[int, Fraction], r: Fraction) -> Fraction:
-    """Exact value of a radial profile at a rational radius."""
-    return sum((c * r**k for k, c in sorted(profile.items())), Fraction(0))
 
 
 def radial_sum_values(idx: PQIndex, radii: Sequence[int]) -> tuple[list[int], int]:

@@ -19,7 +19,9 @@ caller grids, the residual rule and the rim build theirs per call.
 
 from __future__ import annotations
 
+import cmath
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +32,14 @@ import numpy as np
 from .jacobi import gauss_legendre
 from .poly_algebra import BivariatePoly, ComplexRational
 from .quadrature import DiskFunction, angle_grid, inner_products, sample_polar
-from .scattering import PQIndex, basis_indices, jacobi_form, mode_kernels, norm_sq, radial_sum
+from .scattering import (
+    PQIndex,
+    basis_indices,
+    jacobi_form,
+    mode_kernels,
+    norm_sq,
+    radial_sum_profile,
+)
 
 
 @dataclass(frozen=True)
@@ -215,13 +224,21 @@ def solve_exact(f_table: ExpansionTable) -> BivariatePoly:
 
 
 def _exact_sum(table: ExpansionTable, divisor: Callable[[PQIndex], int]) -> BivariatePoly:
-    """The sum of c / divisor(idx) * phi^idx over the table, in exact rationals."""
-    total = BivariatePoly.zero()
+    """The sum of c / divisor(idx) * phi^idx over the table, in exact rationals: each
+    member's integer profile (:func:`radial_sum_profile`) is added into Fraction real and
+    imaginary parts per monomial of its mode, and the sums become one BivariatePoly at the end."""
+    re, im = defaultdict(Fraction), defaultdict(Fraction)
     for idx, c in table.items():
-        k = divisor(idx)
-        scalar = ComplexRational(Fraction(c.real) / k, Fraction(c.imag) / k)
-        total = total + radial_sum(idx) * scalar
-    return total
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient of {idx} is not finite: {c!r}")
+        profile = radial_sum_profile(idx)
+        den = divisor(idx) * profile.den
+        for part, sums in ((c.real, re), (c.imag, im)):
+            if part:
+                scale = Fraction(part) / den
+                for key, ck in profile.monomials():
+                    sums[key] += scale * ck
+    return BivariatePoly({key: ComplexRational(re[key], im[key]) for key in re.keys() | im.keys()})
 
 
 def expansion_residual(

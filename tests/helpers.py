@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 from scatterpoly.poly_algebra import BivariatePoly, ComplexRational
-from scatterpoly.scattering import PQIndex
+from scatterpoly.scattering import PQIndex, radial_sum
 
 
 def random_poly(
@@ -39,6 +40,42 @@ def random_point(rng: random.Random, radius: float = 0.95) -> complex:
 def exact_norm_fraction(idx: PQIndex) -> Fraction:
     """The closed-form squared norm as a multiple of pi."""
     return Fraction(idx.p, idx.q * (idx.p + idx.q))
+
+
+def radial_profile(poly: BivariatePoly) -> tuple[int, dict[int, Fraction]]:
+    """Collapse a pure-frequency, real-coefficient polynomial to radial form.
+
+    Monomial z^a zbar^b adds its coefficient at r^(a+b); returns
+    (n, {power: coefficient}) with n = a - b, or raises ValueError when
+    frequencies differ or a coefficient is not real.
+    """
+    freq = None
+    profile: dict[int, Fraction] = defaultdict(Fraction)
+    for (a, b), c in sorted(poly.terms.items()):
+        if c.im != 0:
+            raise ValueError("radial profile requires real coefficients")
+        if freq is None:
+            freq = a - b
+        elif a - b != freq:
+            raise ValueError("polynomial mixes angular frequencies")
+        profile[a + b] += c.re
+    return (0 if freq is None else freq), dict(profile)
+
+
+def profile_value(profile: dict[int, Fraction], r: Fraction) -> Fraction:
+    """Exact value of a radial profile at a rational radius."""
+    return sum((c * r**k for k, c in sorted(profile.items())), Fraction(0))
+
+
+def ring_exact_sum(table, divisor) -> BivariatePoly:
+    """Reference for the exact synthesis: the sum of c / divisor(idx) *
+    radial_sum(idx) over the table, one general-ring addition per member."""
+    total = BivariatePoly.zero()
+    for idx, c in table.items():
+        k = divisor(idx)
+        scalar = ComplexRational(Fraction(c.real) / k, Fraction(c.imag) / k)
+        total = total + radial_sum(idx) * scalar
+    return total
 
 
 def scalar_jacobi_table(m: int, max_degree: int, x):

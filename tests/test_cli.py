@@ -35,10 +35,10 @@ from scatterpoly.scattering import (
     PQIndex,
     basis_indices,
     jacobi_form,
-    profile_value,
-    radial_profile,
     rodrigues,
 )
+
+from helpers import profile_value, radial_profile
 
 
 @pytest.fixture(autouse=True)
@@ -596,11 +596,25 @@ class TestGridFileErrors:
         assert os.listdir() == ["bad.csv"]
 
     def test_angles_over_one_turn(self, capsys):
+        rows = "".join(f"{r},{t},1,0\n" for r in (0, 0.5) for t in (0, 3.5, 7.0))
         with open("bad.csv", "w") as fh:
-            fh.write("r,theta,re,im\n0,0,1,0\n0,3.5,1,0\n0,7.0,1,0\n")
+            fh.write("r,theta,re,im\n" + rows)
         assert main(["expand", "bad.csv"]) == 2
         assert "bad.csv: angular nodes span 7.0, more than 2 pi" in capsys.readouterr().err
         assert os.listdir() == ["bad.csv"]
+
+    @pytest.mark.parametrize(
+        "radii,angles", [((0.5,), (1.0,)), ((0.5,), (0.0, 1.0, 2.0)), ((0.0, 0.3, 0.6), (2.0,))]
+    )
+    @pytest.mark.parametrize("command", ["expand", "solve"])
+    def test_under_two_by_two(self, command, radii, angles, capsys):
+        rows = "".join(f"{r},{t},1,0\n" for r in radii for t in angles)
+        with open("thin.csv", "w") as fh:
+            fh.write("r,theta,re,im\n" + rows)
+        assert main([command, "thin.csv", "--trunc", "4", "--out", "out.csv"]) == 2
+        shape = f"{len(radii)}x{len(angles)}"
+        assert capsys.readouterr().err == f"error: thin.csv: grid must be at least 2x2, got {shape}\n"
+        assert os.listdir() == ["thin.csv"]
 
     def test_missing_file(self, capsys):
         assert main(["expand", "nope.csv"]) == 2

@@ -19,9 +19,8 @@ from scatterpoly.poly_algebra import (
     NotDivisibleError,
     WProfile,
 )
-from scatterpoly.scattering import profile_value, radial_profile
 
-from helpers import random_poly, random_point
+from helpers import profile_value, radial_profile, random_poly, random_point
 
 
 def frac_poly(terms):

@@ -28,8 +28,6 @@ from scatterpoly.scattering import (
     jacobi_form,
     mode_kernels,
     norm_sq,
-    profile_value,
-    radial_profile,
     radial_sum,
     radial_sum_profile,
     radial_sum_values,
@@ -48,7 +46,13 @@ from scatterpoly.transform import (
     solve_weighted_poisson,
 )
 
-from helpers import exact_norm_fraction, random_point, scalar_jacobi_table
+from helpers import (
+    exact_norm_fraction,
+    profile_value,
+    radial_profile,
+    random_point,
+    scalar_jacobi_table,
+)
 
 #: sigma_0(k) for k = 1..30: number of divisors.
 DIVISOR_COUNTS = [
@@ -138,7 +142,6 @@ class TestIntegerRodrigues:
         monkeypatch.setattr(scattering, "_sum_kernel", refuse)
         scattering._boundary_power.cache_clear()
         rodrigues_profile.cache_clear()
-        rodrigues.cache_clear()
         for idx in basis_indices(8):
             assert rodrigues(idx) == ring_rodrigues(idx)
             assert eigencheck(idx)
@@ -157,9 +160,6 @@ class TestCorruptedProfile:
         reference = scattering.rodrigues_profile
         monkeypatch.setattr(scattering, "rodrigues_profile", corrupt)
         monkeypatch.setattr(cli, "rodrigues_profile", corrupt)
-        rodrigues.cache_clear()
-        yield
-        rodrigues.cache_clear()
 
     def test_eigencheck_fails(self, corrupted):
         for pq in ((1, 1), (2, 3), (4, 1)):
@@ -653,8 +653,6 @@ class TestFloatPathIsExactFree:
 
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(BivariatePoly, "__post_init__", refuse)
-        rodrigues.cache_clear()
-        radial_sum.cache_clear()
         jacobi_form.cache_clear()
 
         def f(r, theta):
@@ -665,8 +663,6 @@ class TestFloatPathIsExactFree:
         reconstruct(table, [0.0, 0.5, 0.9], [0.0, 1.0, 2.0])
         gram(basis_indices(10))
         assert cli.main(["eval", "4", "3", "--grid", "4x4"]) == 0
-        assert rodrigues.cache_info().misses == 0
-        assert radial_sum.cache_info().misses == 0
         assert jacobi_form.cache_info().misses > 0
 
 

@@ -39,6 +39,8 @@ from scatterpoly.transform import (
     synthesize_exact,
 )
 
+from helpers import ring_exact_sum
+
 
 def table_as_function(table: ExpansionTable):
     poly = synthesize_exact(table)
@@ -267,6 +269,81 @@ class TestSynthesizeExact:
                 assert abs(direct - sample.values[i, j]) < 1e-12 * max(
                     1.0, abs(direct)
                 )
+
+
+def _random_coefficients(seed: int, truncation: int, real=True, imag=True) -> dict:
+    rng = random.Random(seed)
+    return {
+        idx: complex(rng.uniform(-3, 3) if real else 0.0, rng.uniform(-3, 3) if imag else 0.0)
+        for idx in basis_indices(truncation)
+    }
+
+
+#: Each exact route with the divisor of its term-by-term ring reference.
+EXACT_ROUTES = [
+    pytest.param(synthesize_exact, lambda idx: 1, id="synthesize"),
+    pytest.param(solve_exact, lambda idx: idx.eigenvalue, id="solve"),
+]
+
+EXACT_TABLES = [
+    pytest.param(
+        {PQIndex(2, 5): 1.5 - 2j, PQIndex(5, 2): -0.25j, PQIndex(3, 3): 2.0}, id="both-signs-of-n"
+    ),
+    pytest.param(
+        {PQIndex(1, 2): 0.0, PQIndex(2, 1): -0.0, PQIndex(1, 1): 1.0}, id="zero-coefficients"
+    ),
+    pytest.param({PQIndex(2, 2): 0j, PQIndex(4, 1): 0.0}, id="all-zero"),
+    pytest.param({PQIndex(1, 1): 1.0, PQIndex(2, 2): -1.0}, id="cancelling-monomial"),
+    pytest.param(_random_coefficients(3, 9, imag=False), id="purely-real"),
+    pytest.param(_random_coefficients(4, 9, real=False), id="purely-imaginary"),
+    pytest.param(
+        {PQIndex(3, 1): 5e-324, PQIndex(1, 3): 1e300j, PQIndex(2, 2): complex(1e300, -5e-324)},
+        id="extreme-doubles",
+    ),
+    pytest.param(_random_coefficients(5, 12), id="random-T12"),
+    pytest.param(_random_coefficients(6, 20), id="random-T20"),
+]
+
+
+class TestExactSum:
+    """The per-mode integer-profile sum behind synthesize_exact and solve_exact."""
+
+    @pytest.mark.parametrize("coefficients", EXACT_TABLES)
+    @pytest.mark.parametrize("route, divisor", EXACT_ROUTES)
+    def test_equals_the_ring_reference(self, route, divisor, coefficients):
+        truncation = max((idx.p + idx.q for idx in coefficients), default=2)
+        table = ExpansionTable(coefficients, truncation)
+        poly = route(table)
+        reference = ring_exact_sum(table, divisor)
+        assert poly == reference
+        assert poly.to_text() == reference.to_text()
+
+    @pytest.mark.parametrize("truncation", [2, 8])
+    @pytest.mark.parametrize("route", [synthesize_exact, solve_exact])
+    def test_builds_one_polynomial(self, route, truncation, monkeypatch):
+        built = []
+        post_init = BivariatePoly.__post_init__
+
+        def counted(poly):
+            built.append(poly)
+            post_init(poly)
+
+        table = ExpansionTable(_random_coefficients(7, truncation), truncation)
+        monkeypatch.setattr(BivariatePoly, "__post_init__", counted)
+        poly = route(table)
+        assert len(built) == 1 and built[0] is poly
+        built.clear()
+        assert route(ExpansionTable({}, truncation)).is_zero()
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(1.0, math.inf)]
+    )
+    @pytest.mark.parametrize("route", [synthesize_exact, solve_exact])
+    def test_non_finite_coefficient_raises(self, route, value):
+        table = ExpansionTable({PQIndex(1, 1): 1.0, PQIndex(2, 3): value}, 5)
+        with pytest.raises(ValueError):
+            route(table)
 
 
 class TestResidual:

@@ -38,6 +38,7 @@ COMMANDS = [
     ["verify", "64"],
     ["table", "12", "17"],
     ["table", "3", "4", "--out", "t.txt"],
+    ["table", "500", "500"],  # p + q = MAX_TABLE_SUM
     ["gram", "14"],
     ["gram", "64"],
     ["gram", "64", "--format", "json"],
