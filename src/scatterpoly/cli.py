@@ -545,6 +545,7 @@ def cmd_expansion(args: argparse.Namespace) -> int:
 
     solve = args.command == "solve"
     table = (transform.solve_weighted_poisson if solve else transform.expand)(f, args.trunc)
+    # the Table refuses a non-finite coefficient here, before the checks below read the table
     payload = {"input": label, "truncation": args.trunc, "coefficients": _coefficient_table(table)}
     summary = ""
     rim = 0.0 if solve else transform.rim_amplitude(f, 256)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Sequence, Union
+from itertools import accumulate
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -45,69 +46,97 @@ class JacobiParams:
             raise ValueError("degree must be nonnegative")
 
 
-def jacobi_table(m: Union[int, Sequence[int]], max_degree: int, x: ArrayLike) -> np.ndarray:
+def jacobi_table(
+    m: Union[int, Sequence[int]], max_degree: Union[int, Sequence[int]], x: ArrayLike
+) -> Union[np.ndarray, list[np.ndarray]]:
     """Every P_nu^(1,m)(x) for nu = 0 .. max_degree, in one recurrence pass.
 
     ``m`` is one angular power or a sequence of them; every m runs in the
-    same pass.  Returns an array of shape x.shape + shape(m) +
-    (max_degree + 1,) whose last axis is the degree.  Seeds are P_0 = 1
-    and P_1 = (alpha+1) + (alpha+beta+2)(x-1)/2 with alpha = 1, beta = m.
-    The recurrence coefficients are integers, formed exactly in float64
-    while s = 2 nu + 1 + m stays below 2^17 (docs/math_notes.md section
-    7), so each m's values are bit for bit those of a pass with that m
-    alone.
+    same pass.  With one ``max_degree`` the result is an array of shape
+    x.shape + shape(m) + (max_degree + 1,) whose last axis is the degree.
+    ``max_degree`` may instead give one degree per m: then each m runs only
+    to its own degree, and the result is a list, entry j of shape x.shape +
+    (max_degree[j] + 1,), so a table ragged in degree holds no degree that
+    no m asked for.  Seeds are P_0 = 1 and P_1 = (alpha+1) +
+    (alpha+beta+2)(x-1)/2 with alpha = 1, beta = m.  The recurrence
+    coefficients are integers, formed exactly in float64 while s = 2 nu + 1
+    + m stays below 2^17 (docs/math_notes.md section 7), so each m's values
+    are bit for bit those of a pass with that m alone, to any degree.
     """
     b = np.asarray(m, dtype=float)
-    if max_degree < 0 or (b.size and b.min() < 0):
+    ragged = np.ndim(max_degree) > 0
+    tops = [int(t) for t in max_degree] if ragged else [max_degree] * b.size
+    if min(tops, default=0) < 0 or (not ragged and max_degree < 0) or b.min(initial=0) < 0:
         raise ValueError("m and max_degree must be nonnegative")
-    a = 1
-    shape = np.shape(x) + b.shape
-    xv = np.asarray(x, dtype=float).reshape(np.shape(x) + (1,) * b.ndim)
-    # degree-major storage: each step writes one contiguous slab
-    out = np.empty((max_degree + 1,) + shape)
-    out[0] = 1.0
-    if max_degree >= 1:
-        out[1] = (a + 1) + (a + b + 2) * (xv - 1.0) / 2.0
+    a, top = 1, max(tops, default=0)
+    xv = np.asarray(x, dtype=float).reshape(1, -1)
+    # one row of x per (m, degree): m-major, each m's degrees 0 .. top contiguous
+    starts = list(accumulate((t + 1 for t in tops), initial=0))
+    rows = np.empty((starts[-1], xv.size))
+    rows[starts[:-1]] = 1.0
+    # the pass runs the m in decreasing top degree, so those still running
+    # at degree k are the first running[k]
+    order = sorted(range(len(tops)), key=tops.__getitem__, reverse=True)
+    running = len(tops) - np.searchsorted(sorted(tops), np.arange(top + 1))
+    # at_degree[k, j]: the row of degree k of the j-th m of the pass
+    at_degree = np.add.outer(np.arange(top + 1), np.array(starts)[order])
+    bo = b.ravel()[order][:, None]
+    prev, curr = np.ones((len(order), xv.size)), np.empty((len(order), xv.size))
+    if top >= 1:
+        c = running[1]
+        curr[:c] = (a + 1) + (a + bo[:c] + 2) * (xv - 1.0) / 2.0
+        rows[at_degree[1, :c]] = curr[:c]
     # the integer coefficients of every step k >= 2 at once, one row per step
-    k = np.arange(2.0, max_degree + 1).reshape((-1,) + (1,) * b.ndim)
-    s = 2 * k + a + b
+    k = np.arange(2.0, top + 1).reshape(-1, 1, 1)
+    s = 2 * k + a + bo
     c_x = (s - 1) * s * (s - 2)
-    c_const = (s - 1) * (a * a - b * b)
-    c_prev = 2 * (k + a - 1) * (k + b - 1) * s
-    c_norm = 2 * k * (k + a + b) * (s - 2)
-    rows = [out[i, ...] for i in range(max_degree + 1)]
-    step, prev_term = np.empty(shape), np.empty(shape)
-    for i, (cx, cc, cp, cn) in enumerate(zip(c_x, c_const, c_prev, c_norm)):
+    c_const = (s - 1) * (a * a - bo * bo)
+    c_prev = 2 * (k + a - 1) * (k + bo - 1) * s
+    c_norm = 2 * k * (k + a + bo) * (s - 2)
+    step_rows, term_rows = np.empty_like(prev), np.empty_like(prev)
+    for deg, cx, cc, cp, cn in zip(range(2, top + 1), c_x, c_const, c_prev, c_norm):
+        c = running[deg]
+        step, term, older = step_rows[:c], term_rows[:c], prev[:c]
         # ((c_const + c_x x) P_(k-1) - c_prev P_(k-2)) / c_norm in reused buffers
-        np.multiply(cx, xv, out=step)
-        step += cc
-        step *= rows[i + 1]
-        np.multiply(cp, rows[i], out=prev_term)
-        step -= prev_term
-        np.divide(step, cn, out=rows[i + 2])
-    return np.moveaxis(out, 0, -1)
+        np.multiply(cx[:c], xv, out=step)
+        step += cc[:c]
+        step *= curr[:c]
+        np.multiply(cp[:c], older, out=term)
+        step -= term
+        np.divide(step, cn[:c], out=older)
+        rows[at_degree[deg, :c]] = older
+        prev, curr = curr, prev
+    shape = np.shape(x)
+    if ragged:
+        return [rows[i:i + t + 1].T.reshape(shape + (t + 1,)) for i, t in zip(starts, tops)]
+    # axes (m, degree, x) to (x, m, degree)
+    table = rows.reshape(b.shape + (max_degree + 1,) + shape)
+    return np.moveaxis(table, tuple(range(b.ndim + 1)), tuple(range(-b.ndim - 1, 0)))
 
 
 def radial_kernels(
-    groups: Sequence[tuple[int, Sequence[int], Sequence[float]]], r: np.ndarray, max_nu: int
+    groups: Sequence[tuple[int, Sequence[int], Sequence[float]]],
+    r: np.ndarray,
+    tops: Mapping[int, int],
 ) -> Iterator[np.ndarray]:
     """c * r^m * P_nu^(1,m)(2 r^2 - 1) for groups of columns (m, nus, cs).
 
-    Runs one :func:`jacobi_table` pass over the groups' distinct m, up to
-    degree ``max_nu``, at least the largest nu of the groups, then
-    yields one array of shape r.shape + (len(nus),) per group as it is
-    iterated, so only one group's array and its r^m exist next to the
-    table.  Each r^m takes a scalar exponent and is applied as
-    (c * r^m) * P, the order of a one-column call, so a column has the
-    same bits in any batch.
+    Runs one :func:`jacobi_table` pass over the groups' distinct m, each m
+    up to its own degree ``tops[m]``, at least the largest nu of its groups,
+    then yields one array of shape r.shape + (len(nus),) per group as it is
+    iterated.  Each r^m takes a scalar exponent, one m at a time, is kept
+    for the group of -n, and is applied as (c * r^m) * P, the order of a
+    one-column call, so a column has the same bits in any batch.
     """
     ms = sorted({m for m, _, _ in groups})
-    table = jacobi_table(ms, max_nu, 2.0 * r * r - 1.0)
-    slot = {m: j for j, m in enumerate(ms)}
+    table = dict(zip(ms, jacobi_table(ms, [tops[m] for m in ms], 2.0 * r * r - 1.0)))
+    powers: dict[int, np.ndarray] = {}
 
     def kernel(group: tuple[int, Sequence[int], Sequence[float]]) -> np.ndarray:
         m, nus, cs = group
-        return np.asarray(cs, dtype=float) * (r**m)[..., None] * table[..., slot[m], nus]
+        if m not in powers:
+            powers[m] = (r**m)[..., None]
+        return np.asarray(cs, dtype=float) * powers[m] * table[m][..., nus]
 
     return map(kernel, groups)
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, zip_longest
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
 
 from .poly_algebra import BOUNDARY_FACTOR, BivariatePoly, WProfile
 
@@ -107,7 +107,7 @@ class RadialForm:
         from .jacobi import radial_kernels
 
         group = (self.m, [self.nu], [self.coeff])
-        out = next(radial_kernels([group], np.asarray(r, dtype=float), self.nu))[..., 0]
+        out = next(radial_kernels([group], np.asarray(r, dtype=float), {self.m: self.nu}))[..., 0]
         return float(out) if np.ndim(r) == 0 else out
 
     def radial_value(self, r: ArrayLike) -> ArrayLike:
@@ -252,7 +252,8 @@ def _check_modes(need: dict[int, int]) -> None:
     prefactors = ((-1) ** (i.q + 1) * (max(i.p, i.q) / i.q) for i in members)
     groups = [(abs(n), nus, list(islice(prefactors, len(nus)))) for n, nus in new]
     r = np.array(_CHECK_RADII) / _RADIUS_DEN
-    kernel = np.hstack(list(radial_kernels(groups, r, max(nus[-1] for _, nus in new))))
+    tops = _degree_tops({n: nus.stop for n, nus in new})
+    kernel = np.hstack(list(radial_kernels(groups, r, tops)))
     exact = (radial_sum_values(i, _CHECK_RADII) for i in members)
     deviation, scale = factored_deviation(r, kernel, exact)
     failed = [i for i, bad in zip(members, (deviation > 1e-12 * scale).tolist()) if bad]
@@ -347,7 +348,15 @@ def mode_kernels(
     return _plan_kernels(modes, need, r)
 
 
-def _plan_kernels(modes: tuple, need: MappingProxyType, r: np.ndarray) -> Iterator[tuple]:
+def _degree_tops(need: Mapping[int, int]) -> dict[int, int]:
+    """The largest Jacobi degree of each m = |n| that the need {n: max nu + 1} asks for."""
+    tops: dict[int, int] = {}
+    for n, end in need.items():
+        tops[abs(n)] = max(tops.get(abs(n), 0), end - 1)
+    return tops
+
+
+def _plan_kernels(modes: tuple, need: Mapping[int, int], r: np.ndarray) -> Iterator[tuple]:
     """The kernels of a checked plan at r, from one :func:`~scatterpoly.jacobi.radial_kernels`
     table over every m = |n|; each kernel is built as the result is iterated."""
     import numpy as np
@@ -355,7 +364,7 @@ def _plan_kernels(modes: tuple, need: MappingProxyType, r: np.ndarray) -> Iterat
     from .jacobi import radial_kernels
 
     groups = [(abs(n), nus, np.asarray(_CHECKED[n])[nus]) for n, _, nus in modes]
-    kernels = radial_kernels(groups, np.asarray(r, dtype=float), max(need.values(), default=1) - 1)
+    kernels = radial_kernels(groups, np.asarray(r, dtype=float), _degree_tops(need))
     return ((n, positions, kernel) for (n, positions, _), kernel in zip(modes, kernels))
 
 
@@ -384,7 +393,9 @@ def _kept_kernels(top: int, order: int) -> tuple:
 def _rule_kernels(indices: Sequence[PQIndex], order: int) -> Iterable[tuple]:
     """:func:`mode_kernels` of indices at :func:`_rule_radii` of order: a whole basis of
     T gets the kept set of (T, order), its members looked up at every call as by
-    mode_kernels; other sequences and sets above :data:`_KEPT_KERNEL_BYTES` do not."""
+    mode_kernels; other sequences and sets above :data:`_KEPT_KERNEL_BYTES` do not.
+    The library's rules are the projection's T + 8, the Gram matrix's T + 2 and the
+    expansion residual's 2T + 12 (kept up to T = 62)."""
     indices = tuple(indices)
     top = _basis_size(indices)
     if not top or 8 * len(indices) * order > _KEPT_KERNEL_BYTES:

@@ -12,9 +12,10 @@ Both directions take one pass per angular mode n = q - p, whose members
 share one kernel matrix K_n (:func:`scatterpoly.scattering.mode_kernels`):
 projection samples f once, splits modes by FFT and applies K_n^T; synthesis
 stacks the sums (1 - r^2) K_n c_n as columns of A, values = A @ e^(i n theta).
-A whole basis keeps its K_n in the one kernel cache keyed by (T,
-Gauss-Legendre order) that :func:`~scatterpoly.quadrature.gram` shares;
-caller grids, the residual rule and the rim build theirs per call.
+A whole basis keeps its K_n at the projection rule and at the residual
+rule in the one kernel cache keyed by (T, Gauss-Legendre order) that
+:func:`~scatterpoly.quadrature.gram` shares; caller grids, the rim and
+tables that are not a whole basis build theirs per call.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .poly_algebra import BivariatePoly, ComplexRational
 from .quadrature import DiskFunction, angle_grid, inner_products, sample_polar
 from .scattering import (
     PQIndex,
+    _rule_kernels,
     basis_indices,
     jacobi_form,
     mode_kernels,
@@ -133,16 +135,36 @@ def _basis_norms(truncation: int) -> np.ndarray:
     return norms
 
 
-def _synthesize(table: ExpansionTable, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Partial sum on the tensor grid r x theta, one column of A per mode."""
-    coeffs = np.array(list(table.coefficients.values()))
+def _synthesize(
+    table: ExpansionTable, r: np.ndarray, theta: np.ndarray, kernels: Optional[Iterable] = None
+) -> np.ndarray:
+    """Partial sum on the tensor grid r x theta, one column of A per mode.
+
+    ``kernels`` are the table's :func:`mode_kernels` at r, built here when
+    not given.  A nan or infinite coefficient raises ValueError naming its
+    index, as :func:`synthesize_exact` does.
+    """
+    coeffs = _finite_coefficients(table)
+    if kernels is None:
+        kernels = mode_kernels(list(table.coefficients), r)
+    # the (1 - r^2) factor stays explicit, so the sum is 0 at r = 1 exactly
+    rim_factor = 1.0 - r * r
     ns, columns = [], []
-    for n, positions, kernel in mode_kernels(list(table.coefficients), r):
-        # the (1 - r^2) factor stays explicit, so the sum is 0 at r = 1 exactly
+    for n, positions, kernel in kernels:
         ns.append(n)
-        columns.append((1.0 - r * r) * (kernel @ coeffs[positions]))
+        columns.append(rim_factor * (kernel @ coeffs[positions]))
     radial = np.array(columns, dtype=complex).reshape(len(ns), r.size).T
     return radial @ np.exp(1j * np.array(ns, dtype=float)[:, None] * theta[None, :])
+
+
+def _finite_coefficients(table: ExpansionTable) -> np.ndarray:
+    """The table's coefficients in index order, or ValueError naming the
+    first nan or infinite one."""
+    coeffs = np.array(list(table.coefficients.values()))
+    if not np.isfinite(coeffs).all():
+        idx, c = next((idx, c) for idx, c in table.items() if not cmath.isfinite(c))
+        raise ValueError(f"coefficient of {idx} is not finite: {c!r}")
+    return coeffs
 
 
 def reconstruct(
@@ -227,10 +249,9 @@ def _exact_sum(table: ExpansionTable, divisor: Callable[[PQIndex], int]) -> Biva
     """The sum of c / divisor(idx) * phi^idx over the table, in exact rationals: each
     member's integer profile (:func:`radial_sum_profile`) is added into Fraction real and
     imaginary parts per monomial of its mode, and the sums become one BivariatePoly at the end."""
+    _finite_coefficients(table)
     re, im = defaultdict(Fraction), defaultdict(Fraction)
     for idx, c in table.items():
-        if not cmath.isfinite(c):
-            raise ValueError(f"coefficient of {idx} is not finite: {c!r}")
         profile = radial_sum_profile(idx)
         den = divisor(idx) * profile.den
         for part, sums in ((c.real, re), (c.imag, im)):
@@ -251,7 +272,9 @@ def expansion_residual(
 
     Needs no special singularity handling: the residual of any reasonable
     Dirichlet-compatible target still vanishes at the rim, and the
-    Gauss-Legendre nodes keep strictly inside the disk regardless.
+    Gauss-Legendre nodes keep strictly inside the disk regardless.  A table
+    of a whole basis reads its kernels at the default rule, order 2T + 12,
+    from the kernel cache, as :func:`expand` does at its rule.
     """
     order = radial_order if radial_order is not None else 2 * table.truncation + 12
     points = angular_points if angular_points is not None else 8 * table.truncation + 32
@@ -261,7 +284,8 @@ def expansion_residual(
     u = rule.nodes
     r = np.sqrt((1.0 + u) / 2.0)
     theta = angle_grid(points)
-    residual_sq = np.abs(sample_polar(f, r, theta) - _synthesize(table, r, theta)) ** 2
+    kernels = _rule_kernels(list(table.coefficients), order)
+    residual_sq = np.abs(sample_polar(f, r, theta) - _synthesize(table, r, theta, kernels)) ** 2
     radial_weights = rule.weights / (1.0 - u)
     total = (math.pi / points) * float(radial_weights @ residual_sq.sum(axis=1))
     return math.sqrt(total)
@@ -280,10 +304,14 @@ def grid_interpolant(sample: GridSample) -> DiskFunction:
     """
     if sample.radial_nodes.size < 1 or sample.angular_nodes.size < 1:
         raise ValueError("grid must contain at least one node per direction")
-    rows = np.argsort(sample.radial_nodes, kind="stable")
-    cols = np.argsort(sample.angular_nodes, kind="stable")
-    r_nodes, theta_nodes = sample.radial_nodes[rows], sample.angular_nodes[cols]
-    values = sample.values[np.ix_(rows, cols)]
+    r_nodes, theta_nodes, values = sample.radial_nodes, sample.angular_nodes, sample.values
+    # reorder (a copy of the grid) only an axis that is out of order
+    if (np.diff(r_nodes) < 0).any():
+        rows = np.argsort(r_nodes, kind="stable")
+        r_nodes, values = r_nodes[rows], values[rows]
+    if (np.diff(theta_nodes) < 0).any():
+        cols = np.argsort(theta_nodes, kind="stable")
+        theta_nodes, values = theta_nodes[cols], values[:, cols]
     two_pi = 2.0 * math.pi
     span = float(theta_nodes[-1] - theta_nodes[0])
     if span > two_pi:

@@ -124,6 +124,42 @@ class TestJacobiTable:
         assert np.array_equal(table[..., 5], jacobi_eval(JacobiParams(1, 2, 5), xs))
 
 
+class TestRaggedJacobiTable:
+    """One degree per m: each m runs only to its own degree, bit for bit."""
+
+    def test_each_m_to_its_own_degree(self):
+        xs = np.concatenate([[-1.0], gauss_legendre(66).nodes, [1.0]])
+        ms = list(range(127))
+        tops = [(128 - m) // 2 - 1 for m in ms]  # the degrees of T = 128
+        tables = jacobi_table(ms, tops, xs)
+        assert len(tables) == len(ms)
+        for m, top, table in zip(ms, tops, tables):
+            assert table.shape == (xs.size, top + 1)
+            expected = scalar_jacobi_table(m, top, xs)
+            assert np.array_equal(table.view(np.int64), expected.view(np.int64))
+
+    def test_any_order_repeats_and_degree_zero(self):
+        xs = np.linspace(-1.0, 1.0, 9)
+        ms, tops = [5, 0, 5, 2, 7], [3, 9, 6, 0, 9]
+        for m, top, table in zip(ms, tops, jacobi_table(ms, tops, xs)):
+            assert np.array_equal(table, scalar_jacobi_table(m, top, xs))
+        assert jacobi_table([], [], xs) == []
+
+    def test_keeps_the_shape_of_x(self):
+        xs = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        low, high = jacobi_table([2, 1], [3, 5], xs)
+        assert low.shape == (3, 4, 4) and high.shape == (3, 4, 6)
+        assert np.array_equal(high[..., 5], jacobi_eval(JacobiParams(1, 1, 5), xs))
+        (scalar,) = jacobi_table([3], [4], 0.3)
+        assert np.array_equal(scalar, scalar_jacobi_table(3, 4, 0.3))
+
+    def test_rejects_negative_degrees(self):
+        with pytest.raises(ValueError):
+            jacobi_table([1, 2], [3, -1], 0.5)
+        with pytest.raises(ValueError):
+            jacobi_table([1, 2], -1, 0.5)
+
+
 class TestNormGate:
     """The closed-form norm must match direct quadrature before anything
     else is allowed to rely on it."""

@@ -328,6 +328,34 @@ class TestModeKernels:
                 expected = form.coeff * r**form.m * scalar_jacobi_table(form.m, form.nu, x)[:, -1]
                 assert np.array_equal(kernel[:, column], expected), indices[k]
 
+    @pytest.mark.parametrize("top", [14, 32, 64])
+    @pytest.mark.parametrize("nodes", ["rule", "uniform"])
+    def test_columns_equal_radial_kernels_at_large_truncations(self, top, nodes):
+        indices = basis_indices(top)
+        r = rule_radii(2 * top + 12) if nodes == "rule" else np.linspace(0.0, 1.0, 33)
+        for n, positions, kernel in mode_kernels(indices, r):
+            for column, k in enumerate(positions):
+                expected = jacobi_form(indices[k]).radial_kernel(r)
+                assert np.array_equal(kernel[:, column].view(np.int64), expected.view(np.int64))
+
+    def test_the_table_runs_each_m_to_its_own_degree(self, monkeypatch):
+        asked = []
+        table = jacobi.jacobi_table
+
+        def recorded(m, max_degree, x):
+            asked.append((list(m), list(max_degree)))
+            return table(m, max_degree, x)
+
+        mode_kernels(basis_indices(32), np.array([0.5]))  # the checks run their own table
+        monkeypatch.setattr(jacobi, "jacobi_table", recorded)
+        list(mode_kernels(basis_indices(32), np.array([0.25, 0.5])))
+        # mode |n| = m of T = 32 has the degrees nu < (32 - m) / 2
+        assert asked == [(list(range(31)), [(32 - m) // 2 - 1 for m in range(31)])]
+        asked.clear()
+        two_modes = [PQIndex(4, 1), PQIndex(2, 5), PQIndex(1, 4), PQIndex(7, 10)]
+        list(mode_kernels(two_modes, np.array([0.5])))
+        assert asked == [([3], [6])]
+
     def test_one_form_kernel_is_its_mode_column(self):
         indices = basis_indices(16)
         r = np.linspace(0.0, 1.0, 9)
@@ -396,7 +424,7 @@ def bump(r, theta):
 
 class TestKernelStores:
     """A whole basis keeps its kernels in one cache keyed by (T, Gauss-Legendre
-    order), at the rules the library picks: the projection rule and the Gram rule."""
+    order), at the rules the library picks: the projection, Gram and residual rules."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self):
@@ -482,18 +510,44 @@ class TestKernelStores:
         assert kept_sets() == 1
         r, theta = polar_grid(16, 32)
         reconstruct(table, r, theta)
-        expansion_residual(bump, table)
         boundary_value_check(table, 64)
         mode_kernels(basis_indices(12), np.array([0.5]))
         shuffled = basis_indices(12)[::-1]
         inner_products(bump, shuffled, 20, 64)
         gram(shuffled)
+        partial = ExpansionTable(dict(list(table.items())[:-1]), 12)
+        expansion_residual(bump, partial)
         assert kept_sets() == 1
         # the projection set of T = 128 (8.8 MB) is above the cap and built per call
         assert 8 * len(basis_indices(128)) * 136 > scattering._KEPT_KERNEL_BYTES
         assert 8 * len(basis_indices(64)) * 72 <= scattering._KEPT_KERNEL_BYTES
         inner_products(bump, basis_indices(128), 136, 8)
         assert kept_sets() == 1
+        # so is the residual set of T = 64 (order 140, 2.3 MB); T = 32's is kept
+        assert 8 * len(basis_indices(64)) * 140 > scattering._KEPT_KERNEL_BYTES
+        assert 8 * len(basis_indices(32)) * 76 <= scattering._KEPT_KERNEL_BYTES
+
+    def test_the_residual_rule_is_kept(self, monkeypatch):
+        table = expand(bump, 12)
+        assert kept_sets() == 1
+        residual = expansion_residual(bump, table)
+        info = scattering._kept_kernels.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+        kept = scattering._kept_kernels(12, 2 * 12 + 12)
+        fresh = list(mode_kernels(basis_indices(12), rule_radii(36)))
+        for (_, _, kernel), (_, _, fresh_kernel) in zip(kept, fresh):
+            assert np.array_equal(kernel.view(np.int64), fresh_kernel.view(np.int64))
+        # the lookup above, a second residual, and the solve's projection and
+        # residual are hits
+        assert expansion_residual(bump, table) == residual
+        expansion_residual(bump, solve_weighted_poisson(bump, 12))
+        info = scattering._kept_kernels.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (4, 2, 2)
+        # the bits of a residual whose kernels are built per call
+        monkeypatch.setattr(scattering, "_KEPT_KERNEL_BYTES", 0)
+        per_call = expansion_residual(bump, table)
+        assert np.float64(per_call).view(np.int64) == np.float64(residual).view(np.int64)
+        assert scattering._kept_kernels.cache_info().hits == 4
 
     def test_expand_keys_its_table_by_the_basis_objects(self):
         basis = scattering._basis(32)

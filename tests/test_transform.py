@@ -346,6 +346,35 @@ class TestExactSum:
             route(table)
 
 
+class TestNonFiniteTables:
+    """The float routes refuse a nan or infinite coefficient, as the exact routes do."""
+
+    ROUTES = {
+        "reconstruct": lambda table: reconstruct(table, *polar_grid(4, 8)),
+        "boundary_value_check": lambda table: boundary_value_check(table, 8),
+        "expansion_residual": lambda table: expansion_residual(
+            lambda r, theta: (1.0 - r * r) * r * np.exp(1j * theta), table
+        ),
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_refused_naming_the_index(self, route, value):
+        sparse = ExpansionTable({PQIndex(1, 1): 1.0, PQIndex(2, 1): value}, 3)
+        # a whole basis, whose residual reads the kept kernels
+        whole = ExpansionTable({**expand(lambda r, theta: 1.0 - r * r, 3).coefficients,
+                                PQIndex(2, 1): value}, 3)
+        for table in (sparse, whole):
+            with pytest.raises(ValueError) as exact:
+                synthesize_exact(table)
+            with pytest.raises(ValueError) as solved:
+                solve_exact(table)
+            with pytest.raises(ValueError) as refused:
+                self.ROUTES[route](table)
+            assert str(refused.value) == str(exact.value) == str(solved.value)
+            assert str(refused.value).startswith(f"coefficient of {PQIndex(2, 1)} is not finite")
+
+
 class TestResidual:
     def test_vanishes_for_in_span_target(self):
         idx = PQIndex(2, 2)
@@ -468,6 +497,21 @@ class TestGridInterpolant:
         rr, tt = np.linspace(0.0, 0.99, 23)[:, None], np.linspace(-4.0, 9.0, 41)[None, :]
         assert np.array_equal(permuted(rr, tt), sorted_interp(rr, tt))
         assert abs(permuted(0.3, 1.0) - f(0.3, 1.0)) < 1e-2
+
+    @pytest.mark.parametrize("shuffled", ["radial", "angular", "both", "neither"])
+    def test_shuffled_and_sorted_axes_give_the_same_values(self, shuffled):
+        # a sorted axis is read in place, a shuffled one is reordered with its values
+        f = lambda r, t: (1.0 - r * r) * (r * np.exp(1j * t) + 0.25)
+        r, theta = polar_grid(12, 20)
+        rng = np.random.default_rng(5)
+        rows = rng.permutation(12) if shuffled in ("radial", "both") else np.arange(12)
+        cols = rng.permutation(20) if shuffled in ("angular", "both") else np.arange(20)
+        values = f(r[:, None], theta[None, :])
+        sorted_interp = grid_interpolant(GridSample(r, theta, values))
+        interp = grid_interpolant(GridSample(r[rows], theta[cols], values[np.ix_(rows, cols)]))
+        rr, tt = np.linspace(-0.1, 1.0, 19)[:, None], np.linspace(-7.0, 7.0, 37)[None, :]
+        assert np.array_equal(interp(rr, tt), sorted_interp(rr, tt))
+        assert interp(0.42, 2.5) == sorted_interp(0.42, 2.5)
 
     def test_closed_grid_holds_both_ends_of_the_turn(self):
         f = lambda r, t: (1.0 - r * r) * r * np.exp(1j * t)

@@ -1,8 +1,9 @@
 """Hash every output of a fixed list of CLI commands, to compare two trees.
 
-Usage, once per source tree, on one machine:
+Usage, from the root of a checkout:
 
     PYTHONPATH=src python tools/output_manifest.py > manifest.txt
+    python tools/output_manifest.py --base REV
 
 Each run is one command, or a sequence of commands sharing one directory
 (a grid file written by one and read by the next), as ``python -m
@@ -14,16 +15,27 @@ lines before it, the manifest hash.  Two trees whose manifest hashes
 agree wrote the same bytes everywhere.  ``gram`` goes through BLAS, so
 hashes can differ between machines: compare only manifests made on the
 same machine with the same numpy.
+
+With ``--base REV`` the tool checks REV out with ``git worktree`` under
+``.bench_build/`` (removed afterwards), makes the manifest of REV's
+``src/`` and of the working tree's ``src/``, prints each run whose lines
+differ with its differing lines, and exits 1 if any run differs.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
+
+ROOT = Path(__file__).resolve().parent.parent
+BUILD = ROOT / ".bench_build"
 
 EXPANSIONS = [
     [command, f"builtin:{target}", "--trunc", trunc, "--grid", "64x128"]
@@ -72,11 +84,12 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> int:
+def manifest(pythonpath: list[str]) -> Iterator[tuple[str, list[str]]]:
+    """(label, lines) for each run in turn, the package imported from the
+    directories of ``pythonpath``."""
     # absolute entries, since every run has a directory of its own
-    given = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(Path(d).resolve()) for d in given if d))
-    lines = []
+    given = os.pathsep.join(str(Path(d).resolve()) for d in pythonpath if d)
+    env = dict(os.environ, PYTHONPATH=given)
     with tempfile.TemporaryDirectory() as tmp:
         for number, run in enumerate(RUNS):
             work = Path(tmp) / str(number)
@@ -98,10 +111,49 @@ def main() -> int:
                 f"{sha256(output.read_bytes())}  {files_label} :: {output.name}"
                 for output in sorted(work.iterdir())
             ]
-            print("\n".join(entry), flush=True)
-            lines += entry
-    manifest = sha256("\n".join(lines).encode())
-    print(f"{manifest}  manifest")
+            yield files_label, entry
+
+
+def compare(base: str) -> int:
+    """Print each run whose lines differ between base's src/ and the working tree's."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+        ).stdout.strip()
+
+    rev = git("rev-parse", "--verify", f"{base}^{{commit}}")
+    BUILD.mkdir(exist_ok=True)
+    base_tree = Path(tempfile.mkdtemp(dir=BUILD)) / "base"
+    git("worktree", "add", "--detach", str(base_tree), rev)
+    try:
+        before = dict(manifest([str(base_tree / "src")]))
+    finally:
+        git("worktree", "remove", "--force", str(base_tree))
+        shutil.rmtree(base_tree.parent, ignore_errors=True)
+    differ = 0
+    for label, lines in manifest([str(ROOT / "src")]):
+        old = before.get(label, [])
+        if old != lines:
+            differ += 1
+            print(f"differs: {label}")
+            print("\n".join([f"  - {line}" for line in old if line not in lines]
+                            + [f"  + {line}" for line in lines if line not in old]))
+    print(f"{differ} of {len(RUNS)} runs differ between {base} ({rev[:12]}) and the working tree")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", help="git revision to compare the working tree with")
+    args = parser.parse_args(argv)
+    if args.base:
+        return compare(args.base)
+    lines = []
+    for _, entry in manifest(os.environ.get("PYTHONPATH", "").split(os.pathsep)):
+        print("\n".join(entry), flush=True)
+        lines += entry
+    manifest_hash = sha256("\n".join(lines).encode())
+    print(f"{manifest_hash}  manifest")
     return 0
 
 
