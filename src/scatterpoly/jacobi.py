@@ -46,10 +46,15 @@ class JacobiParams:
             raise ValueError("degree must be nonnegative")
 
 
+#: Largest degree-major store, in bytes, of one pass of a ragged :func:`jacobi_table`;
+#: the m beyond it run in further passes, so a table is gathered a part at a time.
+_PASS_BYTES = 4 << 20
+
+
 def jacobi_table(
     m: Union[int, Sequence[int]], max_degree: Union[int, Sequence[int]], x: ArrayLike
 ) -> Union[np.ndarray, list[np.ndarray]]:
-    """Every P_nu^(1,m)(x) for nu = 0 .. max_degree, in one recurrence pass.
+    """Every P_nu^(1,m)(x) for nu = 0 .. max_degree, every m in one recurrence.
 
     ``m`` is one angular power or a sequence of them; every m runs in the
     same pass.  With one ``max_degree`` the result is an array of shape
@@ -62,77 +67,113 @@ def jacobi_table(
     coefficients are integers, formed exactly in float64 while s = 2 nu + 1
     + m stays below 2^17 (docs/math_notes.md section 7), so each m's values
     are bit for bit those of a pass with that m alone, to any degree.
+
+    A ragged table runs its m in decreasing top degree, in passes of at most
+    :data:`_PASS_BYTES` of rows, each gathered into m-major order when it ends.
     """
     b = np.asarray(m, dtype=float)
-    ragged = np.ndim(max_degree) > 0
+    ragged = isinstance(max_degree, (list, tuple)) or np.ndim(max_degree) > 0
     tops = [int(t) for t in max_degree] if ragged else [max_degree] * b.size
-    if min(tops, default=0) < 0 or (not ragged and max_degree < 0) or b.min(initial=0) < 0:
+    if min(tops, default=0) < 0 or (not ragged and max_degree < 0) or min(b.flat, default=0) < 0:
         raise ValueError("m and max_degree must be nonnegative")
-    a, top = 1, max(tops, default=0)
     xv = np.asarray(x, dtype=float).reshape(1, -1)
-    # one row of x per (m, degree): m-major, each m's degrees 0 .. top contiguous
-    starts = list(accumulate((t + 1 for t in tops), initial=0))
-    rows = np.empty((starts[-1], xv.size))
-    rows[starts[:-1]] = 1.0
-    # the pass runs the m in decreasing top degree, so those still running
-    # at degree k are the first running[k]
-    order = sorted(range(len(tops)), key=tops.__getitem__, reverse=True)
-    running = len(tops) - np.searchsorted(sorted(tops), np.arange(top + 1))
-    # at_degree[k, j]: the row of degree k of the j-th m of the pass
-    at_degree = np.add.outer(np.arange(top + 1), np.array(starts)[order])
-    bo = b.ravel()[order][:, None]
-    prev, curr = np.ones((len(order), xv.size)), np.empty((len(order), xv.size))
-    if top >= 1:
-        c = running[1]
-        curr[:c] = (a + 1) + (a + bo[:c] + 2) * (xv - 1.0) / 2.0
-        rows[at_degree[1, :c]] = curr[:c]
-    # the integer coefficients of every step k >= 2 at once, one row per step
-    k = np.arange(2.0, top + 1).reshape(-1, 1, 1)
-    s = 2 * k + a + bo
-    c_x = (s - 1) * s * (s - 2)
-    c_const = (s - 1) * (a * a - bo * bo)
-    c_prev = 2 * (k + a - 1) * (k + bo - 1) * s
-    c_norm = 2 * k * (k + a + bo) * (s - 2)
-    step_rows, term_rows = np.empty_like(prev), np.empty_like(prev)
-    for deg, cx, cc, cp, cn in zip(range(2, top + 1), c_x, c_const, c_prev, c_norm):
-        c = running[deg]
-        step, term, older = step_rows[:c], term_rows[:c], prev[:c]
-        # ((c_const + c_x x) P_(k-1) - c_prev P_(k-2)) / c_norm in reused buffers
-        np.multiply(cx[:c], xv, out=step)
-        step += cc[:c]
-        step *= curr[:c]
-        np.multiply(cp[:c], older, out=term)
-        step -= term
-        np.divide(step, cn[:c], out=older)
-        rows[at_degree[deg, :c]] = older
-        prev, curr = curr, prev
     shape = np.shape(x)
-    if ragged:
-        return [rows[i:i + t + 1].T.reshape(shape + (t + 1,)) for i, t in zip(starts, tops)]
-    # axes (m, degree, x) to (x, m, degree)
-    table = rows.reshape(b.shape + (max_degree + 1,) + shape)
-    return np.moveaxis(table, tuple(range(b.ndim + 1)), tuple(range(-b.ndim - 1, 0)))
+    if not ragged:
+        # axes (degree, m, x) to (x, m, degree)
+        table = _pass(b.ravel(), tops, xv)[0].reshape((max_degree + 1,) + b.shape + shape)
+        return np.moveaxis(table, tuple(range(b.ndim + 1)), (-1,) + tuple(range(-b.ndim - 1, -1)))
+    order = sorted(range(len(tops)), key=tops.__getitem__, reverse=True)
+    passes, rows_left = [], 0
+    for i in order:
+        if rows_left <= tops[i]:
+            passes.append([])
+            rows_left = _PASS_BYTES // (8 * xv.size)
+        passes[-1].append(i)
+        rows_left -= tops[i] + 1
+    out: list[np.ndarray] = [None] * len(tops)
+    for members in passes:
+        part = [tops[i] for i in members]
+        rows, starts = _pass(b.ravel()[members], part, xv)
+        if part[-1] == part[0]:
+            cube = rows.reshape(part[0] + 1, len(part), xv.size)
+            tables = (cube[:, j].T for j in range(len(part)))
+        else:
+            # row starts[k] + j holds degree k of the j-th m of the pass
+            lengths = np.add(part, 1)
+            first = np.cumsum(lengths) - lengths
+            degree = np.arange(starts[-1]) - np.repeat(first, lengths)
+            gathered = rows[np.array(starts)[degree] + np.repeat(np.arange(len(part)), lengths)]
+            tables = (gathered[i:i + t + 1].T for i, t in zip(first.tolist(), part))
+        for i, t, table in zip(members, part, tables):
+            out[i] = table.reshape(shape + (t + 1,))
+    return out
+
+
+def _pass(b: np.ndarray, tops: list[int], xv: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The recurrence for the m in b, whose top degrees do not increase, at the
+    x of the row xv: (rows, starts), degree k of the j-th m in row starts[k] + j.
+
+    The m still running at degree k are the first ones, so each step writes
+    its rows in place as one block."""
+    a, top, size = 1, max(tops, default=0), len(tops)
+    running, alive = [], size
+    for deg in range(top + 1):
+        while alive and tops[alive - 1] < deg:
+            alive -= 1
+        running.append(alive)
+    starts = list(accumulate(running, initial=0))
+    rows = np.empty((starts[-1], xv.size))
+    rows[:size] = 1.0
+    if top >= 1:
+        rows[size:starts[2]] = (a + 1) + (a + b[:running[1], None] + 2) * (xv - 1.0) / 2.0
+    if top >= 2:
+        # the integer coefficients of every step k >= 2 at once: axes (k, m, 1)
+        k = np.arange(2.0, top + 1)[:, None, None]
+        bk = b[:, None]
+        s = 2 * k + a + bk
+        s1, s2 = s - 1, s - 2
+        c_prev = 2 * (k + a - 1) * (k + bk - 1) * s
+        c_norm = 2 * k * (k + a + bk) * s2
+        # ((c_const + c_x x) P_(k-1) - c_prev P_(k-2)) / c_norm: the first sum
+        # for the running m of every step at once, the rest in place per degree
+        steps = rows[starts[2]:]
+        if running[-1] < size:
+            runs = np.arange(size) < np.array(running[2:])[:, None]
+        else:
+            runs, steps = ..., steps.reshape(top - 1, size, -1)
+        np.multiply((s1 * s * s2)[runs], xv, out=steps)
+        steps += (s1 * (a * a - bk * bk))[runs]
+        terms = np.empty((running[2], xv.size))
+        for deg, cp, cn in zip(range(2, top + 1), c_prev, c_norm):
+            c, p1, p2 = running[deg], starts[deg - 1], starts[deg - 2]
+            step, term = rows[starts[deg]:starts[deg + 1]], terms[:c]
+            step *= rows[p1:p1 + c]
+            np.multiply(cp[:c], rows[p2:p2 + c], out=term)
+            step -= term
+            step /= cn[:c]
+    return rows, starts
 
 
 def radial_kernels(
-    groups: Sequence[tuple[int, Sequence[int], Sequence[float]]],
+    groups: Sequence[tuple[int, Union[Sequence[int], slice], Sequence[float]]],
     r: np.ndarray,
     tops: Mapping[int, int],
 ) -> Iterator[np.ndarray]:
     """c * r^m * P_nu^(1,m)(2 r^2 - 1) for groups of columns (m, nus, cs).
 
-    Runs one :func:`jacobi_table` pass over the groups' distinct m, each m
+    Makes one :func:`jacobi_table` call for the groups' distinct m, each m
     up to its own degree ``tops[m]``, at least the largest nu of its groups,
     then yields one array of shape r.shape + (len(nus),) per group as it is
-    iterated.  Each r^m takes a scalar exponent, one m at a time, is kept
-    for the group of -n, and is applied as (c * r^m) * P, the order of a
-    one-column call, so a column has the same bits in any batch.
+    iterated; ``nus`` may be a slice, which reads the table as a view.  Each
+    r^m takes a scalar exponent, one m at a time, is kept for the group of
+    -n, and is applied as (c * r^m) * P, the order of a one-column call, so
+    a column has the same bits in any batch.
     """
     ms = sorted({m for m, _, _ in groups})
     table = dict(zip(ms, jacobi_table(ms, [tops[m] for m in ms], 2.0 * r * r - 1.0)))
     powers: dict[int, np.ndarray] = {}
 
-    def kernel(group: tuple[int, Sequence[int], Sequence[float]]) -> np.ndarray:
+    def kernel(group: tuple[int, Union[Sequence[int], slice], Sequence[float]]) -> np.ndarray:
         m, nus, cs = group
         if m not in powers:
             powers[m] = (r**m)[..., None]

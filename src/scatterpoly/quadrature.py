@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -96,8 +97,10 @@ def gram(indices: Sequence[PQIndex]) -> GramMatrix:
 
     Block (pi/2) K^T diag(w (1-u)/2) K, with K the :func:`mode_kernels` at
     the nodes of a Gauss-Legendre rule of order max(p+q) + 2, is exact
-    (docs/math_notes.md section 7); its upper triangle is mirrored, so the
-    result is symmetric by construction.  Distinct modes are orthogonal.
+    (docs/math_notes.md section 7); its upper triangle is mirrored through a
+    cached strict-lower mask per block size, so the result is symmetric by
+    construction.  Distinct modes are orthogonal.  Every block is placed in
+    the matrix by one flat assignment, each mode giving its flat indices.
     A whole basis keeps its K in the one kernel cache keyed by (T, order),
     so a repeated call builds no Jacobi table.
     """
@@ -107,13 +110,26 @@ def gram(indices: Sequence[PQIndex]) -> GramMatrix:
     order = max(i.p + i.q for i in idx) + 2
     rule = gauss_legendre(order)
     weight = (math.pi / 2.0) * rule.weights * (1.0 - rule.nodes) / 2.0
-    entries = np.zeros((len(idx), len(idx)))
+    size = len(idx)
+    places, blocks = [], []
     for _, positions, kernel in _rule_kernels(idx, order):
         block = (kernel.T * weight) @ kernel
-        np.copyto(block, block.T, where=np.tri(len(block), k=-1, dtype=bool))
-        entries[np.ix_(positions, positions)] = block
+        np.copyto(block, block.T, where=_strict_lower(len(block)))
+        places.append((positions[:, None] * size + positions).ravel())
+        blocks.append(block.ravel())
+    entries = np.zeros(size * size)
+    entries[np.concatenate(places)] = np.concatenate(blocks)
+    entries = entries.reshape(size, size)
     entries.flags.writeable = False
     return GramMatrix(indices=idx, entries=entries)
+
+
+@lru_cache(maxsize=64)
+def _strict_lower(size: int) -> np.ndarray:
+    """The read-only mask of the strict lower triangle of a size x size block."""
+    mask = np.tri(size, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def angle_grid(n: int) -> np.ndarray:

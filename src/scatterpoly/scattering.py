@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, zip_longest
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .poly_algebra import BOUNDARY_FACTOR, BivariatePoly, WProfile
 
@@ -106,7 +106,7 @@ class RadialForm:
 
         from .jacobi import radial_kernels
 
-        group = (self.m, [self.nu], [self.coeff])
+        group = (self.m, slice(self.nu, self.nu + 1), [self.coeff])
         out = next(radial_kernels([group], np.asarray(r, dtype=float), {self.m: self.nu}))[..., 0]
         return float(out) if np.ndim(r) == 0 else out
 
@@ -294,8 +294,10 @@ jacobi_form.cache_info = lambda: _CacheInfo(
 
 def _mode_plan(indices: Sequence[PQIndex]) -> tuple:
     """(modes, need) from one walk over indices: per mode n = q - p in
-    increasing n, (n, positions, degrees nu), both read-only int arrays;
-    the check need {n: max nu + 1}, read-only too, as a basis plan is shared."""
+    increasing n, (n, positions, degrees nu), positions a read-only int array
+    and the degrees a slice when they are consecutive (every mode of a basis),
+    else a read-only int array; the check need {n: max nu + 1}, read-only too,
+    as a basis plan is shared."""
     import numpy as np
 
     modes: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
@@ -304,10 +306,15 @@ def _mode_plan(indices: Sequence[PQIndex]) -> tuple:
         positions.append(position)
         nus.append(min(idx.p, idx.q) - 1)
     plan = []
-    for n, group in sorted(modes.items()):
-        positions, nus = map(np.array, group)
-        positions.flags.writeable = nus.flags.writeable = False
-        plan.append((n, positions, nus))
+    for n, (positions, nus) in sorted(modes.items()):
+        if nus == list(range(nus[0], nus[0] + len(nus))):
+            degrees = slice(nus[0], nus[0] + len(nus))
+        else:
+            degrees = np.array(nus)
+            degrees.flags.writeable = False
+        positions = np.array(positions)
+        positions.flags.writeable = False
+        plan.append((n, positions, degrees))
     return tuple(plan), MappingProxyType({n: max(nus) + 1 for n, (_, nus) in modes.items()})
 
 
@@ -368,12 +375,15 @@ def _plan_kernels(modes: tuple, need: Mapping[int, int], r: np.ndarray) -> Itera
     return ((n, positions, kernel) for (n, positions, _), kernel in zip(modes, kernels))
 
 
-def _rule_radii(order: int) -> np.ndarray:
-    """The radii sqrt((1 + u) / 2) at the nodes u of the Gauss-Legendre rule of order."""
+def _rule_radii(order: Optional[int]) -> np.ndarray:
+    """The radii sqrt((1 + u) / 2) at the nodes u of the Gauss-Legendre rule of
+    order; order None stands for the rim, the one radius r = 1."""
     import numpy as np
 
     from .jacobi import gauss_legendre
 
+    if order is None:
+        return np.array([1.0])
     return np.sqrt((1.0 + gauss_legendre(order).nodes) / 2.0)
 
 
@@ -382,23 +392,26 @@ _KEPT_KERNEL_BYTES = 2 << 20
 
 
 @lru_cache(maxsize=16)
-def _kept_kernels(top: int, order: int) -> tuple:
-    """Read-only kernels of the basis T = top at :func:`_rule_radii` of order; checks no member."""
+def _kept_kernels(top: int, order: Optional[int]) -> tuple:
+    """Read-only kernels of the basis T = top at :func:`_rule_radii` of order (None:
+    the rim r = 1); checks no member."""
     built = tuple(_plan_kernels(*_basis_modes(top), _rule_radii(order)))
     for _, _, kernel in built:
         kernel.flags.writeable = False
     return built
 
 
-def _rule_kernels(indices: Sequence[PQIndex], order: int) -> Iterable[tuple]:
+def _rule_kernels(indices: Sequence[PQIndex], order: Optional[int]) -> Iterable[tuple]:
     """:func:`mode_kernels` of indices at :func:`_rule_radii` of order: a whole basis of
     T gets the kept set of (T, order), its members looked up at every call as by
     mode_kernels; other sequences and sets above :data:`_KEPT_KERNEL_BYTES` do not.
     The library's rules are the projection's T + 8, the Gram matrix's T + 2 and the
-    expansion residual's 2T + 12 (kept up to T = 62)."""
+    expansion residual's 2T + 12 (kept up to T = 62); order None is the rim r = 1 of
+    the boundary check, 8 bytes per member."""
     indices = tuple(indices)
     top = _basis_size(indices)
-    if not top or 8 * len(indices) * order > _KEPT_KERNEL_BYTES:
+    nodes = 1 if order is None else order
+    if not top or 8 * len(indices) * nodes > _KEPT_KERNEL_BYTES:
         return mode_kernels(indices, _rule_radii(order))
     _check_modes(_basis_modes(top)[1])
     return _kept_kernels(top, order)

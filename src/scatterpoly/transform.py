@@ -12,10 +12,13 @@ Both directions take one pass per angular mode n = q - p, whose members
 share one kernel matrix K_n (:func:`scatterpoly.scattering.mode_kernels`):
 projection samples f once, splits modes by FFT and applies K_n^T; synthesis
 stacks the sums (1 - r^2) K_n c_n as columns of A, values = A @ e^(i n theta).
-A whole basis keeps its K_n at the projection rule and at the residual
-rule in the one kernel cache keyed by (T, Gauss-Legendre order) that
-:func:`~scatterpoly.quadrature.gram` shares; caller grids, the rim and
-tables that are not a whole basis build theirs per call.
+A whole basis keeps its K_n at the projection rule, at the residual rule
+and at the rim r = 1 of :func:`boundary_value_check` in the one kernel
+cache keyed by (T, Gauss-Legendre order or None for the rim) that
+:func:`~scatterpoly.quadrature.gram` shares; caller grids and tables that
+are not a whole basis build theirs per call.  A table whose keys are a
+whole basis is built without per-key checks, and :func:`solve_table`
+divides it by one cached eigenvalue vector.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .poly_algebra import BivariatePoly, ComplexRational
 from .quadrature import DiskFunction, angle_grid, inner_products, sample_polar
 from .scattering import (
     PQIndex,
+    _basis_size,
     _rule_kernels,
     basis_indices,
     jacobi_form,
@@ -49,20 +53,31 @@ class ExpansionTable:
     """Coefficients of a truncated expansion, keyed by PQIndex.
 
     Every key satisfies p + q <= truncation; absent keys mean zero.
-    ``coefficients`` iterates in lexicographic index order.
+    ``coefficients`` iterates in lexicographic index order, with complex
+    values.  Keys that are a whole basis p + q <= T', T' <= truncation, in
+    basis order (the tables of :func:`expand` and :func:`solve_table`) are
+    recognised by one tuple comparison and kept as they come: no per-key
+    check, sort or rehash.  Any other keys are checked and sorted.
     """
 
     coefficients: Mapping[PQIndex, complex]
     truncation: int
 
     def __post_init__(self) -> None:
-        for idx in self.coefficients:
-            if not isinstance(idx, PQIndex):
-                raise TypeError("coefficient keys must be PQIndex")
-            if idx.p + idx.q > self.truncation:
-                raise ValueError(f"{idx} exceeds truncation {self.truncation}")
-        ordered = sorted(self.coefficients.items(), key=lambda kv: kv[0])
-        object.__setattr__(self, "coefficients", {idx: complex(c) for idx, c in ordered})
+        keys = tuple(self.coefficients)
+        if 0 < _basis_size(keys) <= self.truncation:
+            coefficients = dict(self.coefficients)
+            if not set(map(type, coefficients.values())) <= {complex}:
+                coefficients = dict(zip(keys, map(complex, coefficients.values())))
+        else:
+            for idx in keys:
+                if not isinstance(idx, PQIndex):
+                    raise TypeError("coefficient keys must be PQIndex")
+                if idx.p + idx.q > self.truncation:
+                    raise ValueError(f"{idx} exceeds truncation {self.truncation}")
+            ordered = sorted(self.coefficients.items(), key=lambda kv: kv[0])
+            coefficients = {idx: complex(c) for idx, c in ordered}
+        object.__setattr__(self, "coefficients", coefficients)
 
     def items(self) -> list[tuple[PQIndex, complex]]:
         """Coefficients in lexicographic index order."""
@@ -135,6 +150,14 @@ def _basis_norms(truncation: int) -> np.ndarray:
     return norms
 
 
+@lru_cache(maxsize=8)
+def _basis_eigenvalues(truncation: int) -> np.ndarray:
+    """The eigenvalue p*q of every basis member as a float, read-only, in basis order."""
+    eigenvalues = np.array([idx.eigenvalue for idx in basis_indices(truncation)], dtype=float)
+    eigenvalues.flags.writeable = False
+    return eigenvalues
+
+
 def _synthesize(
     table: ExpansionTable, r: np.ndarray, theta: np.ndarray, kernels: Optional[Iterable] = None
 ) -> np.ndarray:
@@ -181,9 +204,15 @@ def boundary_value_check(table: ExpansionTable, n_theta: int) -> float:
 
     Every basis member carries the factor (1 - r^2), so this is zero to
     the last bit for any finite table; a nonzero return flags a synthesis
-    bug, not a modeling error.
+    bug, not a modeling error.  A whole-basis table reads its kernels at
+    r = 1 from the kernel cache (key (T, None)); any other table builds them.
     """
-    return _rim_max(lambda r, theta: _synthesize(table, r, theta), n_theta)
+
+    def rim_sum(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        # _rim_max samples r = 1 alone, the radius of the kept rim kernels
+        return _synthesize(table, r, theta, _rule_kernels(tuple(table.coefficients), None))
+
+    return _rim_max(rim_sum, n_theta)
 
 
 def rim_amplitude(f: DiskFunction, n_theta: int) -> float:
@@ -204,11 +233,25 @@ def _rim_max(values: Callable[[np.ndarray, np.ndarray], np.ndarray], n_theta: in
 
 
 def solve_table(f_table: ExpansionTable) -> ExpansionTable:
-    """Divide each coefficient by its eigenvalue p*q."""
-    return ExpansionTable(
-        coefficients={idx: c / idx.eigenvalue for idx, c in f_table.items()},
-        truncation=f_table.truncation,
+    """Divide each coefficient by its eigenvalue p*q, as one array division.
+
+    A whole-basis table reads a cached eigenvalue vector.  Each quotient has
+    the bits of the Python c / (p*q): CPython divides by the complex pq + 0j,
+    giving ((re + im * 0) / pq, (im - re * 0) / pq), signed zeros, infinities
+    and nans included.  numpy's complex division multiplies by a reciprocal,
+    which gives other bits, so the two parts are divided here as CPython does.
+    """
+    keys = tuple(f_table.coefficients)
+    top = _basis_size(keys)
+    eigenvalues = (
+        _basis_eigenvalues(top) if top else np.array([idx.eigenvalue for idx in keys], dtype=float)
     )
+    c = np.array(list(f_table.coefficients.values()), dtype=complex)
+    quotient = np.empty_like(c)
+    with np.errstate(invalid="ignore"):  # inf * 0 is nan, as in CPython, without a word
+        quotient.real = (c.real + c.imag * 0.0) / eigenvalues
+        quotient.imag = (c.imag - c.real * 0.0) / eigenvalues
+    return ExpansionTable(dict(zip(keys, quotient.tolist())), f_table.truncation)
 
 
 def solve_weighted_poisson(

@@ -105,3 +105,26 @@ def scalar_jacobi_table(m: int, max_degree: int, x):
         prev, curr = curr, ((c_const + c_x * xv) * curr - c_prev * prev) / c_norm
         out[..., k] = curr
     return out
+
+
+def ix_gram(indices):
+    """Reference for :func:`scatterpoly.quadrature.gram`: each mode block from
+    kernels built per call, its upper triangle mirrored through ``np.tri`` and
+    the block placed with ``np.ix_``, one mode at a time."""
+    import math
+
+    import numpy as np
+
+    from scatterpoly.jacobi import gauss_legendre
+    from scatterpoly.scattering import mode_kernels
+
+    indices = tuple(indices)
+    order = max(i.p + i.q for i in indices) + 2
+    rule = gauss_legendre(order)
+    weight = (math.pi / 2.0) * rule.weights * (1.0 - rule.nodes) / 2.0
+    entries = np.zeros((len(indices), len(indices)))
+    for _, positions, kernel in mode_kernels(indices, np.sqrt((1.0 + rule.nodes) / 2.0)):
+        block = (kernel.T * weight) @ kernel
+        np.copyto(block, block.T, where=np.tri(len(block), k=-1, dtype=bool))
+        entries[np.ix_(positions, positions)] = block
+    return entries

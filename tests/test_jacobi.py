@@ -10,6 +10,7 @@ from scipy.special import eval_jacobi
 
 from helpers import scalar_jacobi_table
 
+from scatterpoly import jacobi
 from scatterpoly.jacobi import (
     ConvergenceError,
     JacobiParams,
@@ -152,6 +153,18 @@ class TestRaggedJacobiTable:
         assert np.array_equal(high[..., 5], jacobi_eval(JacobiParams(1, 1, 5), xs))
         (scalar,) = jacobi_table([3], [4], 0.3)
         assert np.array_equal(scalar, scalar_jacobi_table(3, 4, 0.3))
+
+    @pytest.mark.parametrize("rows", [1, 7, 40])
+    def test_a_table_larger_than_one_pass(self, rows, monkeypatch):
+        # passes of `rows` rows of the 9 xs: every m of T = 24 alone, a few, or most
+        monkeypatch.setattr(jacobi, "_PASS_BYTES", rows * 8 * 9)
+        xs = np.linspace(-1.0, 1.0, 9)
+        ms = [5, 0, 17, 2, 9, 1, 22, 3, 3]
+        tops = [(24 - m) // 2 - 1 for m in ms]
+        for m, top, table in zip(ms, tops, jacobi_table(ms, tops, xs)):
+            assert table.shape == (9, top + 1)
+            expected = scalar_jacobi_table(m, top, xs)
+            assert np.array_equal(table.view(np.int64), expected.view(np.int64))
 
     def test_rejects_negative_degrees(self):
         with pytest.raises(ValueError):

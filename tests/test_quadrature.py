@@ -30,6 +30,8 @@ from scatterpoly.scattering import (
 )
 from scatterpoly.transform import basis_function
 
+from helpers import ix_gram
+
 
 class TestInnerProductBasis:
     def test_norm_of_first_index(self):
@@ -181,6 +183,27 @@ class TestBlockGram:
         for i, a in enumerate(indices):
             for j, b in enumerate(indices):
                 assert abs(entries[i, j] - inner_product_basis(a, b)) < 1e-14
+
+
+class TestGramPlacement:
+    """One flat assignment places every mode block with the bits of a per-mode
+    ``np.ix_`` scatter."""
+
+    @pytest.mark.parametrize("top", range(2, 65))
+    def test_whole_bases(self, top):
+        entries = gram(basis_indices(top)).entries
+        assert np.array_equal(entries.view(np.int64), ix_gram(basis_indices(top)).view(np.int64))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shuffled_subsets_and_repeats(self, seed):
+        rng = random.Random(seed)
+        pool = basis_indices(rng.randint(4, 40))
+        indices = rng.sample(pool, k=rng.randint(1, len(pool)))
+        indices += rng.choices(indices, k=rng.randint(0, 5))  # repeated members
+        rng.shuffle(indices)
+        entries = gram(indices).entries
+        assert entries.flags.c_contiguous and not entries.flags.writeable
+        assert np.array_equal(entries.view(np.int64), ix_gram(indices).view(np.int64))
 
 
 class TestSelfAdjointness:

@@ -510,7 +510,6 @@ class TestKernelStores:
         assert kept_sets() == 1
         r, theta = polar_grid(16, 32)
         reconstruct(table, r, theta)
-        boundary_value_check(table, 64)
         mode_kernels(basis_indices(12), np.array([0.5]))
         shuffled = basis_indices(12)[::-1]
         inner_products(bump, shuffled, 20, 64)
@@ -548,6 +547,70 @@ class TestKernelStores:
         per_call = expansion_residual(bump, table)
         assert np.float64(per_call).view(np.int64) == np.float64(residual).view(np.int64)
         assert scattering._kept_kernels.cache_info().hits == 4
+
+    def test_the_rim_is_kept(self, monkeypatch):
+        tables = []
+        table_pass = jacobi.jacobi_table
+
+        def counted(m, max_degree, x):
+            tables.append(np.asarray(x).tobytes())
+            return table_pass(m, max_degree, x)
+
+        monkeypatch.setattr(jacobi, "jacobi_table", counted)
+        table = expand(bump, 12)
+        assert kept_sets() == 1
+        tables.clear()
+        assert boundary_value_check(table, 64) == 0.0
+        info = scattering._kept_kernels.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+        assert len(tables) == 1  # the rim set, built once
+        lookups = jacobi_form.cache_info().hits
+        # a repeat, and the solved table of the same basis (its projection
+        # too), are hits that build no table
+        assert boundary_value_check(table, 256) == 0.0
+        assert boundary_value_check(solve_weighted_poisson(bump, 12), 64) == 0.0
+        info = scattering._kept_kernels.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 2, 2)
+        assert len(tables) == 1
+        # each check still looks its members up once (the solve's projection too)
+        assert jacobi_form.cache_info().hits == lookups + 3
+        # the kept set is the rim kernels of a fresh build, bit for bit
+        kept = scattering._kept_kernels(12, None)
+        fresh = list(mode_kernels(basis_indices(12), np.array([1.0])))
+        assert [n for n, _, _ in kept] == [n for n, _, _ in fresh]
+        for (_, _, kernel), (_, _, fresh_kernel) in zip(kept, fresh):
+            assert kernel.shape == (1, fresh_kernel.shape[1]) and not kernel.flags.writeable
+            assert np.array_equal(kernel.view(np.int64), fresh_kernel.view(np.int64))
+        # one T, one more entry; T = 128's rim set (65 KB) is under the cap
+        boundary_value_check(expand(bump, 16), 8)
+        assert kept_sets() == 4
+        assert 8 * len(basis_indices(128)) <= scattering._KEPT_KERNEL_BYTES
+        # a partial table builds its kernels per call
+        partial = ExpansionTable(dict(list(table.items())[:-1]), 12)
+        tables.clear()
+        for _ in range(2):
+            assert boundary_value_check(partial, 64) == 0.0
+        assert len(tables) == 2 and kept_sets() == 4
+        # clearing the checks empties the cache
+        jacobi_form.cache_clear()
+        assert kept_sets() == 0
+
+    def test_a_kept_rim_still_checks_its_members(self, monkeypatch):
+        table = expand(bump, 16)
+        boundary_value_check(table, 16)
+        jacobi_form.cache_clear()
+        reference = scattering.radial_sum_values
+
+        def one_wrong(idx, radii):
+            numerators, den = reference(idx, radii)
+            if idx == PQIndex(5, 8):
+                numerators = [num + den // 10**6 for num in numerators]
+            return numerators, den
+
+        monkeypatch.setattr(scattering, "radial_sum_values", one_wrong)
+        with pytest.raises(SignValidationError, match=r"p=5, q=8"):
+            boundary_value_check(table, 16)
+        assert kept_sets() == 0
 
     def test_expand_keys_its_table_by_the_basis_objects(self):
         basis = scattering._basis(32)

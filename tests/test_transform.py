@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scatterpoly import scattering
 from scatterpoly.jacobi import gauss_legendre
 from scatterpoly.poly_algebra import BivariatePoly
 from scatterpoly.quadrature import inner_product_function, inner_product_poly
@@ -99,6 +100,109 @@ class TestExpansionTable:
         shuffled = list(table.coefficients.items())
         random.Random(3).shuffle(shuffled)
         assert ExpansionTable(coefficients=dict(shuffled), truncation=12) == table
+
+
+class TestWholeBasisTables:
+    """Keys that are a whole basis skip the checks, the sort and the rehash,
+    and give the table the checked path builds."""
+
+    @pytest.mark.parametrize("values", ["complex", "mixed"])
+    def test_equal_to_the_checked_table(self, values):
+        rng = random.Random(12)
+        basis = scattering._basis(12)
+        numbers = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in basis]
+        if values == "mixed":  # floats, ints and numpy scalars become complex
+            numbers = [
+                [c.real, int(10 * c.real), np.complex128(c), np.float64(c.imag), c][i % 5]
+                for i, c in enumerate(numbers)
+            ]
+        whole = ExpansionTable(dict(zip(basis, numbers)), 12)
+        shuffled = list(zip(basis, numbers))
+        rng.shuffle(shuffled)
+        checked = ExpansionTable(dict(shuffled), 12)
+        assert whole == checked
+        assert whole.items() == checked.items()
+        assert [type(c) for _, c in whole.items()] == [complex] * len(basis)
+        # a smaller basis under a larger truncation is a whole basis too
+        assert ExpansionTable(dict(zip(basis, numbers)), 20).items() == checked.items()
+
+    def test_no_key_is_compared_for_order(self, monkeypatch):
+        calls = []
+        less = PQIndex.__lt__
+
+        def counted(a, b):
+            calls.append((a, b))
+            return less(a, b)
+
+        monkeypatch.setattr(PQIndex, "__lt__", counted)
+        basis = scattering._basis(16)
+        ExpansionTable(dict.fromkeys(basis, 1.0), 16)
+        table = expand(lambda r, theta: (1 - r * r) * np.cos(theta), 16)
+        solve_table(table)
+        assert calls == []
+        ExpansionTable(dict.fromkeys(reversed(basis), 1.0), 16)  # the checked path sorts
+        assert calls
+
+    def test_a_huge_truncation_builds_no_basis(self):
+        # the keys {(1, 1)} are the basis of T = 2, which the recognition reads
+        basis_indices(2)
+        before = scattering._basis.cache_info()
+        table = ExpansionTable({PQIndex(1, 1): 1.0}, 10**9)
+        solved = solve_table(table)
+        after = scattering._basis.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+        assert solved.items() == [(PQIndex(1, 1), 1.0 + 0j)] and solved.truncation == 10**9
+
+
+#: Coefficient parts whose quotients show every rounding and sign rule.
+SPECIAL_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.5e-310, 1e308, -1e308, 1.0, -3.5, 0.1]
+
+
+def per_coefficient_quotients(table: ExpansionTable) -> np.ndarray:
+    """The reference solve: one Python complex division per coefficient."""
+    return np.array([c / idx.eigenvalue for idx, c in table.items()], dtype=complex)
+
+
+def solved_values(table: ExpansionTable) -> np.ndarray:
+    return np.array(list(solve_table(table).coefficients.values()), dtype=complex)
+
+
+class TestArraySolve:
+    """solve_table divides one array, with the bits of c / (p*q) per coefficient."""
+
+    def test_special_values(self):
+        pairs = [complex(re, im) for re in SPECIAL_PARTS for im in SPECIAL_PARTS]
+        pairs += [complex(math.inf, 0.0), complex(-0.0, -math.inf), complex(math.inf, -math.inf)]
+        pairs += [complex(math.nan, 1.0), complex(-0.0, math.nan), complex(-math.nan, -math.inf)]
+        for top in (2, 5, 16):
+            basis = scattering._basis(top)
+            for start in range(0, len(pairs), len(basis)):
+                chunk = pairs[start:start + len(basis)]
+                table = ExpansionTable(dict(zip(basis, chunk)), top)
+                sparse = ExpansionTable(dict(zip(basis[1::2], chunk)), top)
+                for t in (table, sparse):
+                    assert np.array_equal(
+                        solved_values(t).view(np.int64), per_coefficient_quotients(t).view(np.int64)
+                    )
+
+    @pytest.mark.parametrize("top", range(2, 65))
+    def test_random_whole_basis_tables(self, top):
+        rng = random.Random(top)
+        basis = scattering._basis(top)
+        parts = [
+            rng.choice(SPECIAL_PARTS) if rng.random() < 0.1 else rng.uniform(-9, 9)
+            for _ in range(2 * len(basis))
+        ]
+        table = ExpansionTable(dict(zip(basis, map(complex, parts[::2], parts[1::2]))), top)
+        expected = per_coefficient_quotients(table).view(np.int64)
+        assert np.array_equal(solved_values(table).view(np.int64), expected)
+        members = rng.sample(list(basis), k=max(1, len(basis) // 3))
+        sparse = ExpansionTable({idx: table.coefficient(idx) for idx in members}, top)
+        expected = per_coefficient_quotients(sparse).view(np.int64)
+        assert np.array_equal(solved_values(sparse).view(np.int64), expected)
+
+    def test_empty_table(self):
+        assert solve_table(ExpansionTable({}, 5)).items() == []
 
 
 class TestExpand:

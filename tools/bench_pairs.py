@@ -22,6 +22,13 @@ metric also carries its bound from BENCHMARK.json and whether the working
 tree's median stays within it; ``gain_resolved`` says whether the working
 tree won nine tenths of the pairs and its median beats the base's by more
 than the base's own quartile spread.
+
+``rss_fit`` attributes memory to the jobs the harness keeps: per side, a
+least-squares line of the untraced runs' ``peak_rss_mb`` against their
+``attempted`` job counts, reported as MB per 1000 jobs, its intercept, and
+its value at the base's median job count.  Two sides whose fitted values
+there agree differ in ``peak_rss_mb`` only by the jobs each ran; a side
+whose runs all ran the same number of jobs has no line (nulls).
 """
 
 from __future__ import annotations
@@ -105,6 +112,17 @@ def _summary(runs: list[dict], name: str, spec: dict) -> dict:
     return out
 
 
+def _rss_fit(runs: list[dict], side: str, jobs: float) -> dict:
+    """peak_rss_mb = intercept + slope * attempted over one side's runs, by least squares."""
+    x = [run[side]["attempted"] for run in runs]
+    y = [run[side]["metrics"]["peak_rss_mb"] for run in runs]
+    if len(set(x)) < 2:
+        return {"mb_per_1000_jobs": None, "intercept_mb": None, "mb_at_base_median_jobs": None}
+    slope, intercept = map(float, np.polyfit(x, y, 1))
+    return {"mb_per_1000_jobs": 1000.0 * slope, "intercept_mb": intercept,
+            "mb_at_base_median_jobs": intercept + slope * jobs}
+
+
 def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in benchmark["workloads"]]
@@ -155,6 +173,11 @@ def main(argv=None) -> int:
                     measured = chosen[0]["base"]["metrics"]
                     entry[kind] = {name: _summary(chosen, name, spec)
                                    for name, spec in specs[kind].items() if name in measured}
+            untraced = [run for run in runs if not run["trace"]]
+            jobs = statistics.median(run["base"]["attempted"] for run in untraced)
+            entry["rss_fit"] = {"base_median_attempted": jobs}
+            for side in ("base", "head"):
+                entry["rss_fit"][side] = _rss_fit(untraced, side, jobs)
             report[workload] = {**entry, "runs": runs}
     finally:
         _git("worktree", "remove", "--force", str(base_tree))
