@@ -337,10 +337,9 @@ def _grid_table(r, theta, values) -> Table:
 
 def _coefficient_table(table: ExpansionTable) -> Table:
     """p, q, re, im per coefficient, in index order."""
-    items = table.items()
-    p = [str(idx.p) for idx, _ in items]
-    q = [str(idx.q) for idx, _ in items]
-    return Table(["p", "q", "re", "im"], [p, q], [(c.real, c.imag) for _, c in items])
+    p = [str(idx.p) for idx in table.indices]
+    q = [str(idx.q) for idx in table.indices]
+    return Table(["p", "q", "re", "im"], [p, q], table.values.reshape(-1, 1).view(float))
 
 
 # -- subcommands -----------------------------------------------------------

@@ -8,27 +8,27 @@ is coefficientwise division.  Truncated syntheses vanish identically on
 the unit circle, so the solve respects zero Dirichlet data by
 construction rather than by enforcement.
 
+An :class:`ExpansionTable` is one tuple of indices and one read-only array
+of coefficients in that order, and every float route works on the array.
 Both directions take one pass per angular mode n = q - p, whose members
 share one kernel matrix K_n (:func:`scatterpoly.scattering.mode_kernels`):
 projection samples f once, splits modes by FFT and applies K_n^T; synthesis
 stacks the sums (1 - r^2) K_n c_n as columns of A, values = A @ e^(i n theta).
-A whole basis keeps its K_n at the projection rule, at the residual rule
-and at the rim r = 1 of :func:`boundary_value_check` in the one kernel
-cache keyed by (T, Gauss-Legendre order or None for the rim) that
-:func:`~scatterpoly.quadrature.gram` shares; caller grids and tables that
-are not a whole basis build theirs per call.  A table whose keys are a
-whole basis is built without per-key checks, and :func:`solve_table`
-divides it by one cached eigenvalue vector.
+The indices of a whole basis keep their K_n at the projection rule, the
+residual rule and the rim r = 1 in the one kernel cache that
+:func:`~scatterpoly.quadrature.gram` shares; other indices build theirs per call.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -38,7 +38,7 @@ from .poly_algebra import BivariatePoly, ComplexRational
 from .quadrature import DiskFunction, angle_grid, inner_products, sample_polar
 from .scattering import (
     PQIndex,
-    _basis_size,
+    _basis,
     _rule_kernels,
     basis_indices,
     jacobi_form,
@@ -48,43 +48,61 @@ from .scattering import (
 )
 
 
-@dataclass(frozen=True)
 class ExpansionTable:
-    """Coefficients of a truncated expansion, keyed by PQIndex.
+    """A truncated expansion, read-only: ``indices``, a tuple of PQIndex in
+    ascending (p, q) order with p + q <= ``truncation``, and ``values``, their
+    coefficients as one read-only complex128 array; absent members mean zero.
+    The constructor checks and sorts a mapping {PQIndex: number} once; expand
+    and solve_table build tables from arrays unchecked.  ``coefficients`` is a
+    read-only mapping of the members, built at first use."""
 
-    Every key satisfies p + q <= truncation; absent keys mean zero.
-    ``coefficients`` iterates in lexicographic index order, with complex
-    values.  Keys that are a whole basis p + q <= T', T' <= truncation, in
-    basis order (the tables of :func:`expand` and :func:`solve_table`) are
-    recognised by one tuple comparison and kept as they come: no per-key
-    check, sort or rehash.  Any other keys are checked and sorted.
-    """
+    def __init__(self, coefficients: Mapping[PQIndex, complex], truncation: int) -> None:
+        truncation = operator.index(truncation)
+        for idx in coefficients:
+            if not isinstance(idx, PQIndex):
+                raise TypeError("coefficient keys must be PQIndex")
+            if idx.p + idx.q > truncation:
+                raise ValueError(f"{idx} exceeds truncation {truncation}")
+        ordered = sorted(coefficients.items(), key=lambda kv: (kv[0].p, kv[0].q))
+        values = np.array([complex(c) for _, c in ordered], dtype=complex)
+        _fill(self, tuple(idx for idx, _ in ordered), values, truncation)
 
-    coefficients: Mapping[PQIndex, complex]
-    truncation: int
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"an ExpansionTable is read-only: {name!r} cannot change")
 
-    def __post_init__(self) -> None:
-        keys = tuple(self.coefficients)
-        if 0 < _basis_size(keys) <= self.truncation:
-            coefficients = dict(self.coefficients)
-            if not set(map(type, coefficients.values())) <= {complex}:
-                coefficients = dict(zip(keys, map(complex, coefficients.values())))
-        else:
-            for idx in keys:
-                if not isinstance(idx, PQIndex):
-                    raise TypeError("coefficient keys must be PQIndex")
-                if idx.p + idx.q > self.truncation:
-                    raise ValueError(f"{idx} exceeds truncation {self.truncation}")
-            ordered = sorted(self.coefficients.items(), key=lambda kv: kv[0])
-            coefficients = {idx: complex(c) for idx, c in ordered}
-        object.__setattr__(self, "coefficients", coefficients)
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExpansionTable):
+            return NotImplemented
+        same = self.truncation == other.truncation and self.indices == other.indices
+        return same and np.array_equal(self.values, other.values)
+
+    def __repr__(self) -> str:
+        return f"ExpansionTable({dict(self.items())!r}, truncation={self.truncation})"
+
+    @cached_property
+    def coefficients(self) -> Mapping[PQIndex, complex]:
+        """The table as a read-only mapping {PQIndex: complex}, in index order."""
+        return MappingProxyType(dict(self.items()))
 
     def items(self) -> list[tuple[PQIndex, complex]]:
-        """Coefficients in lexicographic index order."""
-        return list(self.coefficients.items())
+        """(index, coefficient) pairs in index order."""
+        return list(zip(self.indices, self.values.tolist()))
 
     def coefficient(self, idx: PQIndex) -> complex:
         return self.coefficients.get(idx, 0j)
+
+    def __reduce__(self) -> tuple:
+        return ExpansionTable, (dict(self.items()), self.truncation)
+
+
+def _fill(table: ExpansionTable, indices: tuple, values: np.ndarray, truncation: int):
+    """The table with its fields set, values made read-only, unchecked: indices must be
+    PQIndex in ascending (p, q) order within truncation, values complex128 in that order."""
+    values.flags.writeable = False
+    table.__dict__.update(indices=indices, values=values, truncation=truncation)
+    return table
 
 
 @dataclass(frozen=True)
@@ -105,9 +123,7 @@ class GridSample:
             raise ValueError("angular nodes must be finite")
         if not ((r >= 0.0) & (r < 1.0)).all():
             raise ValueError("radial nodes must lie in [0, 1)")
-        object.__setattr__(self, "radial_nodes", r)
-        object.__setattr__(self, "angular_nodes", theta)
-        object.__setattr__(self, "values", values)
+        self.__dict__.update(radial_nodes=r, angular_nodes=theta, values=values)
 
 
 def polar_grid(n_radial: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,9 +153,10 @@ def expand(
     """
     order = radial_order if radial_order is not None else truncation + 8
     points = angular_points if angular_points is not None else 4 * truncation + 16
-    indices = basis_indices(truncation)
-    coefficients = inner_products(f, indices, order, points) / _basis_norms(truncation)
-    return ExpansionTable(dict(zip(indices, coefficients.tolist())), truncation)
+    norms = _basis_norms(truncation)  # ValueError below truncation 2
+    indices = _basis(truncation)
+    values = inner_products(f, indices, order, points) / norms
+    return _fill(object.__new__(ExpansionTable), indices, values, truncation)
 
 
 @lru_cache(maxsize=8)
@@ -150,26 +167,16 @@ def _basis_norms(truncation: int) -> np.ndarray:
     return norms
 
 
-@lru_cache(maxsize=8)
-def _basis_eigenvalues(truncation: int) -> np.ndarray:
-    """The eigenvalue p*q of every basis member as a float, read-only, in basis order."""
-    eigenvalues = np.array([idx.eigenvalue for idx in basis_indices(truncation)], dtype=float)
-    eigenvalues.flags.writeable = False
-    return eigenvalues
-
-
 def _synthesize(
-    table: ExpansionTable, r: np.ndarray, theta: np.ndarray, kernels: Optional[Iterable] = None
+    table: ExpansionTable, r: np.ndarray, theta: np.ndarray, kernels: Iterable
 ) -> np.ndarray:
     """Partial sum on the tensor grid r x theta, one column of A per mode.
 
-    ``kernels`` are the table's :func:`mode_kernels` at r, built here when
-    not given.  A nan or infinite coefficient raises ValueError naming its
-    index, as :func:`synthesize_exact` does.
+    ``kernels`` are the :func:`mode_kernels` of ``table.indices`` at r.  A nan
+    or infinite coefficient raises ValueError naming its index, as
+    :func:`synthesize_exact` does.
     """
     coeffs = _finite_coefficients(table)
-    if kernels is None:
-        kernels = mode_kernels(list(table.coefficients), r)
     # the (1 - r^2) factor stays explicit, so the sum is 0 at r = 1 exactly
     rim_factor = 1.0 - r * r
     ns, columns = [], []
@@ -181,13 +188,11 @@ def _synthesize(
 
 
 def _finite_coefficients(table: ExpansionTable) -> np.ndarray:
-    """The table's coefficients in index order, or ValueError naming the
-    first nan or infinite one."""
-    coeffs = np.array(list(table.coefficients.values()))
-    if not np.isfinite(coeffs).all():
+    """The table's values, or ValueError naming the first nan or infinite one."""
+    if not np.isfinite(table.values).all():
         idx, c = next((idx, c) for idx, c in table.items() if not cmath.isfinite(c))
         raise ValueError(f"coefficient of {idx} is not finite: {c!r}")
-    return coeffs
+    return table.values
 
 
 def reconstruct(
@@ -196,7 +201,8 @@ def reconstruct(
     """Pointwise partial sum of the expansion on a polar tensor grid."""
     r = np.asarray(radial_nodes, dtype=float)
     theta = np.asarray(angular_nodes, dtype=float)
-    return GridSample(radial_nodes=r, angular_nodes=theta, values=_synthesize(table, r, theta))
+    values = _synthesize(table, r, theta, mode_kernels(table.indices, r))
+    return GridSample(radial_nodes=r, angular_nodes=theta, values=values)
 
 
 def boundary_value_check(table: ExpansionTable, n_theta: int) -> float:
@@ -208,11 +214,9 @@ def boundary_value_check(table: ExpansionTable, n_theta: int) -> float:
     r = 1 from the kernel cache (key (T, None)); any other table builds them.
     """
 
-    def rim_sum(r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        # _rim_max samples r = 1 alone, the radius of the kept rim kernels
-        return _synthesize(table, r, theta, _rule_kernels(tuple(table.coefficients), None))
-
-    return _rim_max(rim_sum, n_theta)
+    # _rim_max samples r = 1 alone, the radius of the kept rim kernels
+    rim = _rule_kernels(table.indices, None)
+    return _rim_max(lambda r, theta: _synthesize(table, r, theta, rim), n_theta)
 
 
 def rim_amplitude(f: DiskFunction, n_theta: int) -> float:
@@ -233,25 +237,21 @@ def _rim_max(values: Callable[[np.ndarray, np.ndarray], np.ndarray], n_theta: in
 
 
 def solve_table(f_table: ExpansionTable) -> ExpansionTable:
-    """Divide each coefficient by its eigenvalue p*q, as one array division.
+    """Divide the table's ``values`` by the eigenvalues p*q of its ``indices``,
+    a vector built at each call; the result keeps indices and truncation.
 
-    A whole-basis table reads a cached eigenvalue vector.  Each quotient has
-    the bits of the Python c / (p*q): CPython divides by the complex pq + 0j,
-    giving ((re + im * 0) / pq, (im - re * 0) / pq), signed zeros, infinities
-    and nans included.  numpy's complex division multiplies by a reciprocal,
-    which gives other bits, so the two parts are divided here as CPython does.
+    Each quotient has the bits of the Python c / (p*q): CPython divides by the
+    complex pq + 0j, giving ((re + im * 0) / pq, (im - re * 0) / pq), signed zeros,
+    infinities and nans included.  numpy's complex division multiplies by a
+    reciprocal, which gives other bits, so the parts are divided as CPython does.
     """
-    keys = tuple(f_table.coefficients)
-    top = _basis_size(keys)
-    eigenvalues = (
-        _basis_eigenvalues(top) if top else np.array([idx.eigenvalue for idx in keys], dtype=float)
-    )
-    c = np.array(list(f_table.coefficients.values()), dtype=complex)
+    c = f_table.values
+    eigenvalues = np.array([idx.p * idx.q for idx in f_table.indices], dtype=float)
     quotient = np.empty_like(c)
     with np.errstate(invalid="ignore"):  # inf * 0 is nan, as in CPython, without a word
         quotient.real = (c.real + c.imag * 0.0) / eigenvalues
         quotient.imag = (c.imag - c.real * 0.0) / eigenvalues
-    return ExpansionTable(dict(zip(keys, quotient.tolist())), f_table.truncation)
+    return _fill(object.__new__(ExpansionTable), f_table.indices, quotient, f_table.truncation)
 
 
 def solve_weighted_poisson(
@@ -327,7 +327,7 @@ def expansion_residual(
     u = rule.nodes
     r = np.sqrt((1.0 + u) / 2.0)
     theta = angle_grid(points)
-    kernels = _rule_kernels(list(table.coefficients), order)
+    kernels = _rule_kernels(table.indices, order)
     residual_sq = np.abs(sample_polar(f, r, theta) - _synthesize(table, r, theta, kernels)) ** 2
     radial_weights = rule.weights / (1.0 - u)
     total = (math.pi / points) * float(radial_weights @ residual_sq.sum(axis=1))

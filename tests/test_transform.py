@@ -79,6 +79,38 @@ class TestExpansionTable:
         assert table.coefficient(PQIndex(1, 2)) == 0j
         assert table.coefficient(PQIndex(1, 1)) == 2.0 + 0j
 
+    def test_truncation_is_an_integer(self):
+        with pytest.raises(TypeError):
+            ExpansionTable({PQIndex(1, 1): 1.0}, 2.5)
+        table = ExpansionTable({PQIndex(1, 1): 1.0}, np.int64(3))
+        assert table.truncation == 3 and type(table.truncation) is int
+        assert expansion_residual(lambda r, theta: 1 - r * r, table) < 1e-12
+
+    @pytest.mark.parametrize("build", ["constructor", "expand", "solve_table"])
+    def test_tables_are_read_only(self, build):
+        f = lambda r, theta: (1 - r * r) * np.cos(theta)
+        table = {
+            "constructor": lambda: ExpansionTable({PQIndex(1, 2): 1.0, PQIndex(1, 1): 2j}, 3),
+            "expand": lambda: expand(f, 3),
+            "solve_table": lambda: solve_table(expand(f, 3)),
+        }[build]()
+        before = table.items()
+        with pytest.raises(TypeError):
+            table.coefficients[PQIndex(5, 5)] = 1.0
+        with pytest.raises(TypeError):
+            table.coefficients[PQIndex(1, 1)] = "1"
+        with pytest.raises(ValueError):
+            table.values[0] = 1.0
+        for name in ("indices", "values", "truncation", "coefficients"):
+            with pytest.raises(AttributeError):
+                setattr(table, name, None)
+        assert table.items() == before and PQIndex(5, 5) not in table.coefficients
+        r, theta = polar_grid(4, 8)
+        assert np.array_equal(
+            reconstruct(table, r, theta).values,
+            reconstruct(ExpansionTable(dict(before), 3), r, theta).values,
+        )
+
     def test_items_sorted(self):
         table = ExpansionTable(
             coefficients={PQIndex(2, 1): 1.0, PQIndex(1, 1): 2.0, PQIndex(1, 2): 3.0},
@@ -103,8 +135,9 @@ class TestExpansionTable:
 
 
 class TestWholeBasisTables:
-    """Keys that are a whole basis skip the checks, the sort and the rehash,
-    and give the table the checked path builds."""
+    """Tables from the constructor, in any key order, equal the array-built
+    tables of expand and solve_table, and the warm routes read the indices
+    and values of either without hashing or ordering a key."""
 
     @pytest.mark.parametrize("values", ["complex", "mixed"])
     def test_equal_to_the_checked_table(self, values):
@@ -140,11 +173,41 @@ class TestWholeBasisTables:
         table = expand(lambda r, theta: (1 - r * r) * np.cos(theta), 16)
         solve_table(table)
         assert calls == []
-        ExpansionTable(dict.fromkeys(reversed(basis), 1.0), 16)  # the checked path sorts
-        assert calls
+        reversed_keys = ExpansionTable(dict.fromkeys(reversed(basis), 1.0), 16)
+        assert reversed_keys == ExpansionTable(dict.fromkeys(basis, 1.0), 16)
+        assert reversed_keys.indices == basis
+        assert calls == []
+
+    def test_warm_routes_hash_and_order_no_key(self, monkeypatch):
+        f = lambda r, theta: (1 - r * r) * (1 + r * np.cos(theta))
+        r, theta = polar_grid(8, 16)
+
+        def warm_round():
+            for table in (expand(f, 32), solve_weighted_poisson(f, 32)):
+                solve_table(table)
+                reconstruct(table, r, theta)
+                boundary_value_check(table, 64)
+                expansion_residual(f, table)
+
+        warm_round()
+        calls = []
+
+        def counted(name):
+            method = getattr(PQIndex, name)
+
+            def count(*args):
+                calls.append(name)
+                return method(*args)
+
+            return count
+
+        for name in ("__hash__", "__lt__"):
+            monkeypatch.setattr(PQIndex, name, counted(name))
+        warm_round()
+        assert calls == []
 
     def test_a_huge_truncation_builds_no_basis(self):
-        # the keys {(1, 1)} are the basis of T = 2, which the recognition reads
+        # neither the constructor nor solve_table builds a basis, whatever the truncation
         basis_indices(2)
         before = scattering._basis.cache_info()
         table = ExpansionTable({PQIndex(1, 1): 1.0}, 10**9)
