@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -46,54 +46,45 @@ class JacobiParams:
             raise ValueError("degree must be nonnegative")
 
 
-#: Largest degree-major store, in bytes, of one pass of a ragged :func:`jacobi_table`;
+#: Largest degree-major store, in bytes, of one pass of :func:`jacobi_table`;
 #: the m beyond it run in further passes, so a table is gathered a part at a time.
 _PASS_BYTES = 4 << 20
 
 
-def jacobi_table(
-    m: Union[int, Sequence[int]], max_degree: Union[int, Sequence[int]], x: ArrayLike
-) -> Union[np.ndarray, list[np.ndarray]]:
-    """Every P_nu^(1,m)(x) for nu = 0 .. max_degree, every m in one recurrence.
+def jacobi_table(ms: Sequence[int], tops: Sequence[int], x: ArrayLike) -> list[np.ndarray]:
+    """Every P_nu^(1,m)(x) for nu = 0 .. tops[j], for each m = ms[j], in one recurrence.
 
-    ``m`` is one angular power or a sequence of them; every m runs in the
-    same pass.  With one ``max_degree`` the result is an array of shape
-    x.shape + shape(m) + (max_degree + 1,) whose last axis is the degree.
-    ``max_degree`` may instead give one degree per m: then each m runs only
-    to its own degree, and the result is a list, entry j of shape x.shape +
-    (max_degree[j] + 1,), so a table ragged in degree holds no degree that
-    no m asked for.  Seeds are P_0 = 1 and P_1 = (alpha+1) +
-    (alpha+beta+2)(x-1)/2 with alpha = 1, beta = m.  The recurrence
-    coefficients are integers, formed exactly in float64 while s = 2 nu + 1
-    + m stays below 2^17 (docs/math_notes.md section 7), so each m's values
-    are bit for bit those of a pass with that m alone, to any degree.
+    One top degree per m: each m runs only to its own degree, so the table
+    holds no degree that no m asked for.  Entry j of the result has shape
+    x.shape + (tops[j] + 1,), its last axis the degree.  Seeds are P_0 = 1
+    and P_1 = (alpha+1) + (alpha+beta+2)(x-1)/2 with alpha = 1, beta = m.
+    The recurrence coefficients are integers, formed exactly in float64
+    while s = 2 nu + 1 + m stays below 2^17 (docs/math_notes.md section 7),
+    so each m's values are bit for bit those of a pass with that m alone,
+    to any degree.
 
-    A ragged table runs its m in decreasing top degree, in passes of at most
+    The m run in decreasing top degree, in passes of at most
     :data:`_PASS_BYTES` of rows, each gathered into m-major order when it ends.
     """
-    b = np.asarray(m, dtype=float)
-    ragged = isinstance(max_degree, (list, tuple)) or np.ndim(max_degree) > 0
-    tops = [int(t) for t in max_degree] if ragged else [max_degree] * b.size
-    if min(tops, default=0) < 0 or (not ragged and max_degree < 0) or min(b.flat, default=0) < 0:
-        raise ValueError("m and max_degree must be nonnegative")
+    if len(ms) != len(tops):
+        raise ValueError(f"{len(ms)} values of m but {len(tops)} top degrees")
+    b, tops = np.asarray(ms, dtype=float), list(tops)
+    if min(tops, default=0) < 0 or min(b, default=0) < 0:
+        raise ValueError("m and the top degrees must be nonnegative")
     xv = np.asarray(x, dtype=float).reshape(1, -1)
     shape = np.shape(x)
-    if not ragged:
-        # axes (degree, m, x) to (x, m, degree)
-        table = _pass(b.ravel(), tops, xv)[0].reshape((max_degree + 1,) + b.shape + shape)
-        return np.moveaxis(table, tuple(range(b.ndim + 1)), (-1,) + tuple(range(-b.ndim - 1, -1)))
     order = sorted(range(len(tops)), key=tops.__getitem__, reverse=True)
     passes, rows_left = [], 0
     for i in order:
         if rows_left <= tops[i]:
             passes.append([])
-            rows_left = _PASS_BYTES // (8 * xv.size)
+            rows_left = _PASS_BYTES // (8 * max(xv.size, 1))
         passes[-1].append(i)
         rows_left -= tops[i] + 1
     out: list[np.ndarray] = [None] * len(tops)
     for members in passes:
         part = [tops[i] for i in members]
-        rows, starts = _pass(b.ravel()[members], part, xv)
+        rows, starts = _pass(b[members], part, xv)
         if part[-1] == part[0]:
             cube = rows.reshape(part[0] + 1, len(part), xv.size)
             tables = (cube[:, j].T for j in range(len(part)))
@@ -155,21 +146,23 @@ def _pass(b: np.ndarray, tops: list[int], xv: np.ndarray) -> tuple[np.ndarray, l
 
 
 def radial_kernels(
-    groups: Sequence[tuple[int, Union[Sequence[int], slice], Sequence[float]]],
-    r: np.ndarray,
-    tops: Mapping[int, int],
+    groups: Sequence[tuple[int, Union[Sequence[int], slice], Sequence[float]]], r: np.ndarray
 ) -> Iterator[np.ndarray]:
     """c * r^m * P_nu^(1,m)(2 r^2 - 1) for groups of columns (m, nus, cs).
 
     Makes one :func:`jacobi_table` call for the groups' distinct m, each m
-    up to its own degree ``tops[m]``, at least the largest nu of its groups,
-    then yields one array of shape r.shape + (len(nus),) per group as it is
-    iterated; ``nus`` may be a slice, which reads the table as a view.  Each
-    r^m takes a scalar exponent, one m at a time, is kept for the group of
-    -n, and is applied as (c * r^m) * P, the order of a one-column call, so
-    a column has the same bits in any batch.
+    up to the largest nu of its groups, then yields one array of shape
+    r.shape + (len(nus),) per group as it is iterated; ``nus`` may be a
+    slice, which reads the table as a view.  Each r^m takes a scalar
+    exponent, one m at a time, is kept for the group of -n, and is applied
+    as (c * r^m) * P, the order of a one-column call, so a column has the
+    same bits in any batch.
     """
-    ms = sorted({m for m, _, _ in groups})
+    tops: dict[int, int] = {}
+    for m, nus, _ in groups:
+        top = nus.stop - 1 if isinstance(nus, slice) else int(np.max(nus))
+        tops[m] = max(tops.get(m, 0), top)
+    ms = sorted(tops)
     table = dict(zip(ms, jacobi_table(ms, [tops[m] for m in ms], 2.0 * r * r - 1.0)))
     powers: dict[int, np.ndarray] = {}
 
@@ -187,7 +180,7 @@ def jacobi_eval(params: JacobiParams, x: ArrayLike) -> ArrayLike:
 
     Accepts a scalar or an ndarray; the recurrence is run vectorized.
     """
-    value = jacobi_table(params.beta, params.degree, x)[..., -1]
+    value = jacobi_table([params.beta], [params.degree], x)[0][..., -1]
     return float(value) if np.ndim(x) == 0 else value
 
 

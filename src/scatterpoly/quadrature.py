@@ -101,7 +101,7 @@ def gram(indices: Sequence[PQIndex]) -> GramMatrix:
     cached strict-lower mask per block size, so the result is symmetric by
     construction.  Distinct modes are orthogonal.  Every block is placed in
     the matrix by one flat assignment, each mode giving its flat indices.
-    A whole basis keeps its K in the one kernel cache keyed by (T, order),
+    A whole basis keeps its K in the one kernel cache keyed by T and its radii,
     so a repeated call builds no Jacobi table.
     """
     if not indices:
@@ -109,10 +109,11 @@ def gram(indices: Sequence[PQIndex]) -> GramMatrix:
     idx = tuple(indices)
     order = max(i.p + i.q for i in idx) + 2
     rule = gauss_legendre(order)
+    r = np.sqrt((1.0 + rule.nodes) / 2.0)
     weight = (math.pi / 2.0) * rule.weights * (1.0 - rule.nodes) / 2.0
     size = len(idx)
     places, blocks = [], []
-    for _, positions, kernel in _rule_kernels(idx, order):
+    for _, positions, kernel in _rule_kernels(idx, r):
         block = (kernel.T * weight) @ kernel
         np.copyto(block, block.T, where=_strict_lower(len(block)))
         places.append((positions[:, None] * size + positions).ravel())
@@ -163,7 +164,7 @@ def inner_products(
     Radial direction: Gauss-Legendre in u = 2 r^2 - 1, one product
     K^T (w/4 f_n) per mode against the polynomial kernels phi / (1 - r^2)
     of :func:`mode_kernels`, the weight having cancelled; a whole basis
-    keeps its K in the kernel cache keyed by (T, radial order), as gram does.
+    keeps its K in the kernel cache keyed by T and the radii, as gram does.
     """
     if radial_order < 1 or angular_points < 1:
         raise ValueError("quadrature orders must be >= 1")
@@ -172,7 +173,7 @@ def inner_products(
     fhat = np.fft.fft(sample_polar(f, r, angle_grid(angular_points)), axis=1)
     weighted = fhat * (rule.weights / 4.0 * (2.0 * math.pi / angular_points))[:, None]
     out = np.empty(len(indices), dtype=complex)
-    for n, positions, kernel in _rule_kernels(indices, radial_order):
+    for n, positions, kernel in _rule_kernels(indices, r):
         out[positions] = kernel.T @ weighted[:, n % angular_points]
     return out
 

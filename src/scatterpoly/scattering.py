@@ -30,13 +30,14 @@ methods, :func:`jacobi_form`, :func:`mode_kernels`,
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, zip_longest
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 from .poly_algebra import BOUNDARY_FACTOR, BivariatePoly, WProfile
 
@@ -55,12 +56,15 @@ class SignValidationError(RuntimeError):
 
 @dataclass(frozen=True, order=True)
 class PQIndex:
-    """Index (p, q) of one basis polynomial; both entries must be >= 1."""
+    """Index (p, q) of one basis polynomial; both entries must be integers >= 1,
+    stored as int (an integer type such as numpy's is taken by ``operator.index``)."""
 
     p: int
     q: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", operator.index(self.p))
+        object.__setattr__(self, "q", operator.index(self.q))
         if min(self.p, self.q) < 1:
             raise ValueError("min{p,q} must be >= 1")
 
@@ -107,7 +111,7 @@ class RadialForm:
         from .jacobi import radial_kernels
 
         group = (self.m, slice(self.nu, self.nu + 1), [self.coeff])
-        out = next(radial_kernels([group], np.asarray(r, dtype=float), {self.m: self.nu}))[..., 0]
+        out = next(radial_kernels([group], np.asarray(r, dtype=float)))[..., 0]
         return float(out) if np.ndim(r) == 0 else out
 
     def radial_value(self, r: ArrayLike) -> ArrayLike:
@@ -252,8 +256,7 @@ def _check_modes(need: dict[int, int]) -> None:
     prefactors = ((-1) ** (i.q + 1) * (max(i.p, i.q) / i.q) for i in members)
     groups = [(abs(n), nus, list(islice(prefactors, len(nus)))) for n, nus in new]
     r = np.array(_CHECK_RADII) / _RADIUS_DEN
-    tops = _degree_tops({n: nus.stop for n, nus in new})
-    kernel = np.hstack(list(radial_kernels(groups, r, tops)))
+    kernel = np.hstack(list(radial_kernels(groups, r)))
     exact = (radial_sum_values(i, _CHECK_RADII) for i in members)
     deviation, scale = factored_deviation(r, kernel, exact)
     failed = [i for i, bad in zip(members, (deviation > 1e-12 * scale).tolist()) if bad]
@@ -292,12 +295,13 @@ jacobi_form.cache_info = lambda: _CacheInfo(
 )
 
 
-def _mode_plan(indices: Sequence[PQIndex]) -> tuple:
-    """(modes, need) from one walk over indices: per mode n = q - p in
-    increasing n, (n, positions, degrees nu), positions a read-only int array
-    and the degrees a slice when they are consecutive (every mode of a basis),
-    else a read-only int array; the check need {n: max nu + 1}, read-only too,
-    as a basis plan is shared."""
+def _mode_plan(indices: Sequence[PQIndex], top: int = 0) -> tuple:
+    """(T, modes, need, p, q) from one walk over indices, T = top: per mode
+    n = q - p in increasing n, (n, positions, degrees nu), positions a read-only
+    int array and the degrees a slice when they are consecutive (every mode of a
+    basis), else a read-only int array; the check need {n: max nu + 1}; and the
+    p and q of every index, in order, as int arrays.  All read-only, as a basis
+    plan is shared."""
     import numpy as np
 
     modes: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
@@ -315,7 +319,11 @@ def _mode_plan(indices: Sequence[PQIndex]) -> tuple:
         positions = np.array(positions)
         positions.flags.writeable = False
         plan.append((n, positions, degrees))
-    return tuple(plan), MappingProxyType({n: max(nus) + 1 for n, (_, nus) in modes.items()})
+    p = np.fromiter((idx.p for idx in indices), int, len(indices))
+    q = np.fromiter((idx.q for idx in indices), int, len(indices))
+    p.flags.writeable = q.flags.writeable = False
+    need = MappingProxyType({n: max(nus) + 1 for n, (_, nus) in modes.items()})
+    return top, tuple(plan), need, p, q
 
 
 @lru_cache(maxsize=8)
@@ -327,14 +335,16 @@ def _basis(max_sum: int) -> tuple[PQIndex, ...]:
 @lru_cache(maxsize=8)
 def _basis_modes(max_sum: int) -> tuple:
     """The :func:`_mode_plan` of :func:`_basis`, built at the first float call."""
-    return _mode_plan(_basis(max_sum))
+    return _mode_plan(_basis(max_sum), max_sum)
 
 
-def _basis_size(indices: tuple) -> int:
-    """T when indices is the cached :func:`_basis` of T, found by one tuple
-    comparison, else 0."""
+def _plan(indices: tuple) -> tuple:
+    """The :func:`_mode_plan` of indices: the cached plan of :func:`_basis` of T when
+    indices is that tuple, found by one tuple comparison, else a fresh one with T = 0."""
     top = indices[-1].p + 1 if indices and isinstance(indices[-1], PQIndex) else 0
-    return top if len(indices) == top * (top - 1) // 2 > 0 and indices == _basis(top) else 0
+    if len(indices) == top * (top - 1) // 2 > 0 and indices == _basis(top):
+        return _basis_modes(top)
+    return _mode_plan(indices)
 
 
 def mode_kernels(
@@ -348,43 +358,22 @@ def mode_kernels(
     A basis finds its cached plan by one tuple comparison; other indices
     are grouped anew.  New members are checked, and one table built, at the call.
     """
-    indices = tuple(indices)
-    top = _basis_size(indices)
-    modes, need = _basis_modes(top) if top else _mode_plan(indices)
+    _, modes, need, _, _ = _plan(tuple(indices))
     _check_modes(need)
-    return _plan_kernels(modes, need, r)
+    return _plan_kernels(modes, r)
 
 
-def _degree_tops(need: Mapping[int, int]) -> dict[int, int]:
-    """The largest Jacobi degree of each m = |n| that the need {n: max nu + 1} asks for."""
-    tops: dict[int, int] = {}
-    for n, end in need.items():
-        tops[abs(n)] = max(tops.get(abs(n), 0), end - 1)
-    return tops
-
-
-def _plan_kernels(modes: tuple, need: Mapping[int, int], r: np.ndarray) -> Iterator[tuple]:
-    """The kernels of a checked plan at r, from one :func:`~scatterpoly.jacobi.radial_kernels`
-    table over every m = |n|; each kernel is built as the result is iterated."""
+def _plan_kernels(modes: tuple, r: np.ndarray) -> Iterator[tuple]:
+    """The kernels of the modes of a checked plan at r, from one
+    :func:`~scatterpoly.jacobi.radial_kernels` table over every m = |n|; each
+    kernel is built as the result is iterated."""
     import numpy as np
 
     from .jacobi import radial_kernels
 
     groups = [(abs(n), nus, np.asarray(_CHECKED[n])[nus]) for n, _, nus in modes]
-    kernels = radial_kernels(groups, np.asarray(r, dtype=float), _degree_tops(need))
+    kernels = radial_kernels(groups, np.asarray(r, dtype=float))
     return ((n, positions, kernel) for (n, positions, _), kernel in zip(modes, kernels))
-
-
-def _rule_radii(order: Optional[int]) -> np.ndarray:
-    """The radii sqrt((1 + u) / 2) at the nodes u of the Gauss-Legendre rule of
-    order; order None stands for the rim, the one radius r = 1."""
-    import numpy as np
-
-    from .jacobi import gauss_legendre
-
-    if order is None:
-        return np.array([1.0])
-    return np.sqrt((1.0 + gauss_legendre(order).nodes) / 2.0)
 
 
 #: Largest kernel set, in bytes, that :func:`_kept_kernels` keeps (README, limits table).
@@ -392,29 +381,31 @@ _KEPT_KERNEL_BYTES = 2 << 20
 
 
 @lru_cache(maxsize=16)
-def _kept_kernels(top: int, order: Optional[int]) -> tuple:
-    """Read-only kernels of the basis T = top at :func:`_rule_radii` of order (None:
-    the rim r = 1); checks no member."""
-    built = tuple(_plan_kernels(*_basis_modes(top), _rule_radii(order)))
+def _kept_kernels(top: int, radii: bytes) -> tuple:
+    """Read-only kernels of the basis T = top at the float64 radii whose bytes are
+    ``radii``; checks no member."""
+    import numpy as np
+
+    built = tuple(_plan_kernels(_basis_modes(top)[1], np.frombuffer(radii)))
     for _, _, kernel in built:
         kernel.flags.writeable = False
     return built
 
 
-def _rule_kernels(indices: Sequence[PQIndex], order: Optional[int]) -> Iterable[tuple]:
-    """:func:`mode_kernels` of indices at :func:`_rule_radii` of order: a whole basis of
-    T gets the kept set of (T, order), its members looked up at every call as by
-    mode_kernels; other sequences and sets above :data:`_KEPT_KERNEL_BYTES` do not.
-    The library's rules are the projection's T + 8, the Gram matrix's T + 2 and the
-    expansion residual's 2T + 12 (kept up to T = 62); order None is the rim r = 1 of
-    the boundary check, 8 bytes per member."""
+def _rule_kernels(indices: Sequence[PQIndex], r: np.ndarray) -> Iterable[tuple]:
+    """:func:`mode_kernels` of indices at the float64 radii r, one axis: a whole basis
+    of T gets the kept set of key (T, r.tobytes()), its members looked up at every
+    call as by mode_kernels; other sequences and sets above :data:`_KEPT_KERNEL_BYTES`
+    do not.  The library's radii are sqrt((1 + u) / 2) at the nodes u of the
+    projection's rule T + 8, the Gram matrix's T + 2 and the expansion residual's
+    2T + 12 (kept up to T = 62), and the rim r = 1 of the boundary check, 8 bytes
+    per member."""
     indices = tuple(indices)
-    top = _basis_size(indices)
-    nodes = 1 if order is None else order
-    if not top or 8 * len(indices) * nodes > _KEPT_KERNEL_BYTES:
-        return mode_kernels(indices, _rule_radii(order))
-    _check_modes(_basis_modes(top)[1])
-    return _kept_kernels(top, order)
+    top, modes, need, _, _ = _plan(indices)
+    _check_modes(need)
+    if not top or 8 * len(indices) * r.size > _KEPT_KERNEL_BYTES:
+        return _plan_kernels(modes, r)
+    return _kept_kernels(top, r.tobytes())
 
 
 def resolved_sign(idx: PQIndex) -> int:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +40,7 @@ from .quadrature import DiskFunction, angle_grid, inner_products, sample_polar
 from .scattering import (
     PQIndex,
     _basis,
+    _plan,
     _rule_kernels,
     basis_indices,
     jacobi_form,
@@ -52,15 +54,18 @@ class ExpansionTable:
     """A truncated expansion, read-only: ``indices``, a tuple of PQIndex in
     ascending (p, q) order with p + q <= ``truncation``, and ``values``, their
     coefficients as one read-only complex128 array; absent members mean zero.
-    The constructor checks and sorts a mapping {PQIndex: number} once; expand
-    and solve_table build tables from arrays unchecked.  ``coefficients`` is a
-    read-only mapping of the members, built at first use."""
+    The constructor checks and sorts a mapping {PQIndex: number} once (a str or
+    bytes value is a TypeError); expand and solve_table build tables from arrays
+    unchecked.  ``coefficient(idx)`` finds idx by bisection in ``indices``;
+    ``coefficients`` is a read-only mapping of the members, built at first use."""
 
     def __init__(self, coefficients: Mapping[PQIndex, complex], truncation: int) -> None:
         truncation = operator.index(truncation)
-        for idx in coefficients:
+        for idx, c in coefficients.items():
             if not isinstance(idx, PQIndex):
                 raise TypeError("coefficient keys must be PQIndex")
+            if isinstance(c, (str, bytes)):
+                raise TypeError(f"the coefficient of {idx} is text, not a number: {c!r}")
             if idx.p + idx.q > truncation:
                 raise ValueError(f"{idx} exceeds truncation {truncation}")
         ordered = sorted(coefficients.items(), key=lambda kv: (kv[0].p, kv[0].q))
@@ -91,7 +96,9 @@ class ExpansionTable:
         return list(zip(self.indices, self.values.tolist()))
 
     def coefficient(self, idx: PQIndex) -> complex:
-        return self.coefficients.get(idx, 0j)
+        i = bisect_left(self.indices, idx)
+        found = i < len(self.indices) and self.indices[i] == idx
+        return complex(self.values[i]) if found else 0j
 
     def __reduce__(self) -> tuple:
         return ExpansionTable, (dict(self.items()), self.truncation)
@@ -211,12 +218,11 @@ def boundary_value_check(table: ExpansionTable, n_theta: int) -> float:
     Every basis member carries the factor (1 - r^2), so this is zero to
     the last bit for any finite table; a nonzero return flags a synthesis
     bug, not a modeling error.  A whole-basis table reads its kernels at
-    r = 1 from the kernel cache (key (T, None)); any other table builds them.
+    the r = [1.0] of :func:`_rim_max` from the kernel cache; any other table builds them.
     """
-
-    # _rim_max samples r = 1 alone, the radius of the kept rim kernels
-    rim = _rule_kernels(table.indices, None)
-    return _rim_max(lambda r, theta: _synthesize(table, r, theta, rim), n_theta)
+    return _rim_max(
+        lambda r, theta: _synthesize(table, r, theta, _rule_kernels(table.indices, r)), n_theta
+    )
 
 
 def rim_amplitude(f: DiskFunction, n_theta: int) -> float:
@@ -238,7 +244,8 @@ def _rim_max(values: Callable[[np.ndarray, np.ndarray], np.ndarray], n_theta: in
 
 def solve_table(f_table: ExpansionTable) -> ExpansionTable:
     """Divide the table's ``values`` by the eigenvalues p*q of its ``indices``,
-    a vector built at each call; the result keeps indices and truncation.
+    from the p and q arrays of their mode plan (cached for a whole basis); the
+    result keeps indices and truncation.
 
     Each quotient has the bits of the Python c / (p*q): CPython divides by the
     complex pq + 0j, giving ((re + im * 0) / pq, (im - re * 0) / pq), signed zeros,
@@ -246,7 +253,8 @@ def solve_table(f_table: ExpansionTable) -> ExpansionTable:
     reciprocal, which gives other bits, so the parts are divided as CPython does.
     """
     c = f_table.values
-    eigenvalues = np.array([idx.p * idx.q for idx in f_table.indices], dtype=float)
+    _, _, _, p, q = _plan(f_table.indices)
+    eigenvalues = p * q  # exact integers in float64, so each quotient keeps its bits
     quotient = np.empty_like(c)
     with np.errstate(invalid="ignore"):  # inf * 0 is nan, as in CPython, without a word
         quotient.real = (c.real + c.imag * 0.0) / eigenvalues
@@ -327,7 +335,7 @@ def expansion_residual(
     u = rule.nodes
     r = np.sqrt((1.0 + u) / 2.0)
     theta = angle_grid(points)
-    kernels = _rule_kernels(table.indices, order)
+    kernels = _rule_kernels(table.indices, r)
     residual_sq = np.abs(sample_polar(f, r, theta) - _synthesize(table, r, theta, kernels)) ** 2
     radial_weights = rule.weights / (1.0 - u)
     total = (math.pi / points) * float(radial_weights @ residual_sq.sum(axis=1))

@@ -86,7 +86,7 @@ class TestJacobiTable:
     def test_columns_equal_jacobi_eval(self):
         xs = np.linspace(-1.0, 1.0, 23)
         for m in range(0, 9):
-            table = jacobi_table(m, 12, xs)
+            (table,) = jacobi_table([m], [12], xs)
             assert table.shape == (23, 13)
             for nu in range(0, 13):
                 assert np.array_equal(table[:, nu], jacobi_eval(JacobiParams(1, m, nu), xs))
@@ -100,29 +100,47 @@ class TestJacobiTable:
         else:
             xs = np.linspace(-1.0, 1.0, 41)
         ms = list(range(127))
-        table = jacobi_table(ms, 63, xs)
-        assert table.shape == (xs.size, 127, 64)
+        tables = jacobi_table(ms, [63] * len(ms), xs)
+        assert len(tables) == 127
         for m in ms:
-            assert np.array_equal(table[:, m, :], scalar_jacobi_table(m, 63, xs))
+            assert tables[m].shape == (xs.size, 64)
+            assert np.array_equal(tables[m], scalar_jacobi_table(m, 63, xs))
 
     def test_modes_in_any_order_and_with_repeats(self):
         xs = np.linspace(-1.0, 1.0, 9)
-        table = jacobi_table([5, 0, 5, 2], 7, xs)
-        for j, m in enumerate([5, 0, 5, 2]):
-            assert np.array_equal(table[:, j, :], scalar_jacobi_table(m, 7, xs))
+        tables = jacobi_table([5, 0, 5, 2], [7] * 4, xs)
+        for table, m in zip(tables, [5, 0, 5, 2]):
+            assert np.array_equal(table, scalar_jacobi_table(m, 7, xs))
 
     def test_scalar_m_and_scalar_x(self):
-        assert jacobi_table(3, 4, 0.3).shape == (5,)
-        assert np.array_equal(jacobi_table(3, 4, 0.3), scalar_jacobi_table(3, 4, 0.3))
-        assert jacobi_table([1, 2], 0, 0.5).shape == (2, 1)
+        (table,) = jacobi_table([3], [4], 0.3)
+        assert table.shape == (5,)
+        assert np.array_equal(table, scalar_jacobi_table(3, 4, 0.3))
+        assert [t.shape for t in jacobi_table([1, 2], [0, 0], 0.5)] == [(1,), (1,)]
         with pytest.raises(ValueError):
-            jacobi_table([1, -1], 3, 0.5)
+            jacobi_table([1, -1], [3, 3], 0.5)
 
     def test_keeps_the_shape_of_x(self):
         xs = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
-        table = jacobi_table(2, 5, xs)
+        (table,) = jacobi_table([2], [5], xs)
         assert table.shape == (3, 4, 6)
         assert np.array_equal(table[..., 5], jacobi_eval(JacobiParams(1, 2, 5), xs))
+
+    def test_one_top_degree_per_m(self):
+        xs = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ValueError):
+            jacobi_table([1, 2, 3], [2, 2], xs)
+        with pytest.raises(ValueError):
+            jacobi_table([1], [2, 2], xs)
+        with pytest.raises(TypeError):  # one m or one degree is not a sequence
+            jacobi_table(3, 4, xs)
+
+    def test_no_nodes(self):
+        # an empty node set gives empty tables and values, of the shapes of x
+        tables = jacobi_table([0, 3], [2, 4], np.array([]))
+        assert [t.shape for t in tables] == [(0, 3), (0, 5)]
+        assert jacobi_eval(JacobiParams(1, 2, 3), np.array([])).shape == (0,)
+        assert jacobi_eval(JacobiParams(1, 2, 3), np.empty((0, 4))).shape == (0, 4)
 
 
 class TestRaggedJacobiTable:
@@ -170,7 +188,7 @@ class TestRaggedJacobiTable:
         with pytest.raises(ValueError):
             jacobi_table([1, 2], [3, -1], 0.5)
         with pytest.raises(ValueError):
-            jacobi_table([1, 2], -1, 0.5)
+            jacobi_table([1, 2], [-1, -1], 0.5)
 
 
 class TestNormGate:

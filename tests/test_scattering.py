@@ -68,6 +68,15 @@ class TestPQIndex:
             with pytest.raises(ValueError, match=r"min\{p,q\} must be >= 1"):
                 PQIndex(*bad)
 
+    def test_entries_are_integers(self):
+        # taken through operator.index and stored as int, so numpy integers hash alike
+        idx = PQIndex(np.int64(2), np.int32(3))
+        assert (type(idx.p), type(idx.q)) == (int, int)
+        assert idx == PQIndex(2, 3) and hash(idx) == hash(PQIndex(2, 3))
+        for bad in ((1.5, 2), (2, 2.0), (np.float64(2), 1), ("1", 1), (None, 1)):
+            with pytest.raises(TypeError):
+                PQIndex(*bad)
+
     def test_derived_quantities(self):
         idx = PQIndex(5, 2)
         assert idx.m == 3
@@ -423,8 +432,9 @@ def bump(r, theta):
 
 
 class TestKernelStores:
-    """A whole basis keeps its kernels in one cache keyed by (T, Gauss-Legendre
-    order), at the rules the library picks: the projection, Gram and residual rules."""
+    """A whole basis keeps its kernels in one cache keyed by (T, the bytes of its
+    radii), at the radii the library picks: those of the projection, Gram and
+    residual rules, and the rim r = 1."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self):
@@ -437,7 +447,7 @@ class TestKernelStores:
         gram(basis_indices(16))
         assert kept_sets() == 2
         for order in (24, 18):  # the projection rule T + 8 and the Gram rule T + 2
-            kept = scattering._kept_kernels(16, order)
+            kept = scattering._kept_kernels(16, rule_radii(order).tobytes())
             fresh = list(mode_kernels(basis_indices(16), rule_radii(order)))
             assert [n for n, _, _ in kept] == [n for n, _, _ in fresh]
             for (_, positions, kernel), (_, fresh_positions, fresh_kernel) in zip(kept, fresh):
@@ -461,13 +471,45 @@ class TestKernelStores:
         # the shared set gives the bits of a per-call build at the projection rule
         assert np.array_equal(products, inner_products(bump, indices[::-1], 12, 48)[::-1])
 
+    def test_keys_are_the_radii_of_a_warm_round(self, monkeypatch):
+        # one round of the library_float_warm mix at T = 16, 24 and 32 keeps
+        # four sets per T: projection T + 8, residual 2T + 12, rim and Gram T + 2
+        kept, keys = scattering._kept_kernels, []
+
+        def recorded(top, radii):
+            keys.append((top, radii))
+            return kept(top, radii)
+
+        monkeypatch.setattr(scattering, "_kept_kernels", recorded)
+        r, theta = polar_grid(16, 32)
+        for top in (16, 24, 32):
+            expansion_residual(bump, expand(bump, top))
+            solved = solve_weighted_poisson(bump, top)
+            reconstruct(solved, r, theta)
+            boundary_value_check(solved, 256)
+            gram(basis_indices(top))
+        assert kept.cache_info().currsize == 12
+        rim = np.array([1.0]).tobytes()
+        assert set(keys) == {
+            (top, radii)
+            for top in (16, 24, 32)
+            for radii in (*(rule_radii(o).tobytes() for o in (top + 8, 2 * top + 12, top + 2)), rim)
+        }
+        for top, radii in set(keys):
+            assert type(top) is int and type(radii) is bytes
+            fresh = list(mode_kernels(basis_indices(top), np.frombuffer(radii)))
+            assert len(kept(top, radii)) == len(fresh)
+            for (n, positions, kernel), (fresh_n, _, fresh_kernel) in zip(kept(top, radii), fresh):
+                assert n == fresh_n
+                assert np.array_equal(kernel.view(np.int64), fresh_kernel.view(np.int64))
+
     def test_the_cache_keeps_the_last_sixteen_keys(self):
         for top in range(2, 18):
             gram(basis_indices(top))
         info = scattering._kept_kernels.cache_info()
         assert (info.misses, info.currsize, info.maxsize) == (16, 16, 16)
-        gram(basis_indices(2))  # a hit makes (2, 4) the most recent key
-        gram(basis_indices(18))  # so the new key evicts (3, 5)
+        gram(basis_indices(2))  # a hit makes T = 2's Gram set the most recent key
+        gram(basis_indices(18))  # so the new key evicts T = 3's
         info = scattering._kept_kernels.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 17, 16)
         gram(basis_indices(2))
@@ -532,7 +574,7 @@ class TestKernelStores:
         residual = expansion_residual(bump, table)
         info = scattering._kept_kernels.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
-        kept = scattering._kept_kernels(12, 2 * 12 + 12)
+        kept = scattering._kept_kernels(12, rule_radii(2 * 12 + 12).tobytes())
         fresh = list(mode_kernels(basis_indices(12), rule_radii(36)))
         for (_, _, kernel), (_, _, fresh_kernel) in zip(kept, fresh):
             assert np.array_equal(kernel.view(np.int64), fresh_kernel.view(np.int64))
@@ -575,7 +617,7 @@ class TestKernelStores:
         # each check still looks its members up once (the solve's projection too)
         assert jacobi_form.cache_info().hits == lookups + 3
         # the kept set is the rim kernels of a fresh build, bit for bit
-        kept = scattering._kept_kernels(12, None)
+        kept = scattering._kept_kernels(12, np.array([1.0]).tobytes())
         fresh = list(mode_kernels(basis_indices(12), np.array([1.0])))
         assert [n for n, _, _ in kept] == [n for n, _, _ in fresh]
         for (_, _, kernel), (_, _, fresh_kernel) in zip(kept, fresh):

@@ -70,6 +70,14 @@ class TestExpansionTable:
         with pytest.raises(TypeError):
             ExpansionTable(coefficients={(1, 1): 1.0}, truncation=4)
 
+    @pytest.mark.parametrize("text", ["1", "nan", b"1"])
+    def test_rejects_text_values(self, text):
+        # complex("1") and complex("nan") would parse; a table holds numbers only
+        with pytest.raises(TypeError):
+            ExpansionTable({PQIndex(1, 1): text}, 2)
+        with pytest.raises(TypeError):
+            ExpansionTable({PQIndex(1, 1): 1.0, PQIndex(1, 2): np.str_("2")}, 3)
+
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError):
             ExpansionTable(coefficients={PQIndex(3, 3): 1.0}, truncation=4)
@@ -206,6 +214,32 @@ class TestWholeBasisTables:
         warm_round()
         assert calls == []
 
+    def test_coefficient_bisects_the_indices(self, monkeypatch):
+        # a fresh T = 128 table, built by the array path that expand uses too:
+        # coefficient hashes no key and builds no coefficients mapping
+        basis = scattering._basis(128)
+        table = solve_table(ExpansionTable(dict(zip(basis, range(1, len(basis) + 1))), 128))
+        small = expand(lambda r, theta: (1 - r * r) * np.cos(theta), 32)
+        hashes = []
+        key_hash = PQIndex.__hash__
+
+        def counted(idx):
+            hashes.append(idx)
+            return key_hash(idx)
+
+        monkeypatch.setattr(PQIndex, "__hash__", counted)
+        for k in (0, 1, 4000, len(basis) - 1):
+            idx = PQIndex(basis[k].p, basis[k].q)
+            assert table.coefficient(idx) == complex((k + 1) / idx.eigenvalue)
+            assert type(table.coefficient(idx)) is complex
+        assert table.coefficient(PQIndex(64, 65)) == 0j
+        assert small.coefficient(PQIndex(1, 2)) == small.values[1]
+        assert small.coefficient(PQIndex(100, 1)) == 0j
+        assert hashes == []
+        assert "coefficients" not in table.__dict__ and "coefficients" not in small.__dict__
+        monkeypatch.undo()
+        assert all(small.coefficient(idx) == c for idx, c in small.coefficients.items())
+
     def test_a_huge_truncation_builds_no_basis(self):
         # neither the constructor nor solve_table builds a basis, whatever the truncation
         basis_indices(2)
@@ -313,6 +347,23 @@ class TestExpand:
 
 
 class TestReconstruct:
+    def test_no_radial_nodes(self):
+        # an empty radial node set synthesizes an empty grid of the right shape
+        table = expand(lambda r, theta: (1 - r * r) * np.cos(theta), 6)
+        theta = polar_grid(1, 5)[1]
+        sample = reconstruct(table, [], theta)
+        assert sample.values.shape == (0, 5) and sample.radial_nodes.shape == (0,)
+        assert reconstruct(table, np.array([]), []).values.shape == (0, 0)
+
+    def test_radial_kernel_of_no_radii(self):
+        form = jacobi_form(PQIndex(3, 5))
+        assert form.radial_kernel(np.array([])).shape == (0,)
+        assert form.radial_kernel(np.empty((0, 3))).shape == (0, 3)
+
+    def test_basis_function_of_no_points(self):
+        values = basis_function(PQIndex(3, 5))(np.array([]), np.array([]))
+        assert values.shape == (0,) and values.dtype == complex
+
     def test_single_index_profile(self):
         table = ExpansionTable(coefficients={PQIndex(1, 1): 1.0}, truncation=2)
         r, theta = polar_grid(8, 8)
