@@ -319,11 +319,18 @@ def _mode_plan(indices: Sequence[PQIndex], top: int = 0) -> tuple:
         positions = np.array(positions)
         positions.flags.writeable = False
         plan.append((n, positions, degrees))
+    need = MappingProxyType({n: max(nus) + 1 for n, (_, nus) in modes.items()})
+    return (top, tuple(plan), need, *_index_arrays(indices))
+
+
+def _index_arrays(indices: Sequence[PQIndex]) -> tuple:
+    """The p and q of every index, in order, as read-only int arrays."""
+    import numpy as np
+
     p = np.fromiter((idx.p for idx in indices), int, len(indices))
     q = np.fromiter((idx.q for idx in indices), int, len(indices))
     p.flags.writeable = q.flags.writeable = False
-    need = MappingProxyType({n: max(nus) + 1 for n, (_, nus) in modes.items()})
-    return top, tuple(plan), need, p, q
+    return p, q
 
 
 @lru_cache(maxsize=8)
@@ -338,13 +345,24 @@ def _basis_modes(max_sum: int) -> tuple:
     return _mode_plan(_basis(max_sum), max_sum)
 
 
+def _basis_top(indices: tuple) -> int:
+    """T when indices is the tuple :func:`_basis` of T, found by one tuple comparison, else 0."""
+    top = indices[-1].p + 1 if indices and isinstance(indices[-1], PQIndex) else 0
+    return top if len(indices) == top * (top - 1) // 2 > 0 and indices == _basis(top) else 0
+
+
 def _plan(indices: tuple) -> tuple:
     """The :func:`_mode_plan` of indices: the cached plan of :func:`_basis` of T when
-    indices is that tuple, found by one tuple comparison, else a fresh one with T = 0."""
-    top = indices[-1].p + 1 if indices and isinstance(indices[-1], PQIndex) else 0
-    if len(indices) == top * (top - 1) // 2 > 0 and indices == _basis(top):
-        return _basis_modes(top)
-    return _mode_plan(indices)
+    indices is that tuple, else a fresh one with T = 0."""
+    top = _basis_top(indices)
+    return _basis_modes(top) if top else _mode_plan(indices)
+
+
+def _plan_pq(indices: tuple) -> tuple:
+    """The p and q arrays of :func:`_plan` (indices), with no mode grouping when
+    indices is not a whole basis."""
+    top = _basis_top(indices)
+    return _basis_modes(top)[3:] if top else _index_arrays(indices)
 
 
 def mode_kernels(

@@ -13,10 +13,13 @@ of coefficients in that order, and every float route works on the array.
 Both directions take one pass per angular mode n = q - p, whose members
 share one kernel matrix K_n (:func:`scatterpoly.scattering.mode_kernels`):
 projection samples f once, splits modes by FFT and applies K_n^T; synthesis
-stacks the sums (1 - r^2) K_n c_n as columns of A, values = A @ e^(i n theta).
-The indices of a whole basis keep their K_n at the projection rule, the
-residual rule and the rim r = 1 in the one kernel cache that
+stacks the sums (1 - r^2) K_n c_n as columns of A, values = A @ E with
+E[n, j] = e^(i n theta_j).  The indices of a whole basis keep their K_n at the
+projection rule, the residual rule and the rim r = 1 in the one kernel cache that
 :func:`~scatterpoly.quadrature.gram` shares; other indices build theirs per call.
+E depends only on the modes and the angles: synthesis keeps the half-table of its
+rows n = 0 .. top per angle grid, takes a row of n < 0 as the exact conjugate of
+row |n|, and builds a table too large to keep one block of angles at a time.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ from .jacobi import gauss_legendre
 from .poly_algebra import BivariatePoly, ComplexRational
 from .quadrature import DiskFunction, angle_grid, inner_products, sample_polar
 from .scattering import (
+    _KEPT_KERNEL_BYTES,
     PQIndex,
     _basis,
-    _plan,
+    _plan_pq,
     _rule_kernels,
     basis_indices,
     jacobi_form,
@@ -182,6 +186,13 @@ def _synthesize(
     ``kernels`` are the :func:`mode_kernels` of ``table.indices`` at r.  A nan
     or infinite coefficient raises ValueError naming its index, as
     :func:`synthesize_exact` does.
+
+    The values are A @ E, E[n, j] = e^(i n theta_j), with the bits of E built
+    whole by ``np.exp``.  E's rows come from a half-table of the rows 0 .. top,
+    top the largest |n|, with a row of n < 0 the conjugate of row |n|.  A
+    half-table of at most :data:`_KEPT_KERNEL_BYTES` is kept by
+    :func:`_kept_phases`; a larger one is built per call, one block of angles at
+    a time (:func:`_angle_blocks`), each block's product written into the result.
     """
     coeffs = _finite_coefficients(table)
     # the (1 - r^2) factor stays explicit, so the sum is 0 at r = 1 exactly
@@ -190,8 +201,65 @@ def _synthesize(
     for n, positions, kernel in kernels:
         ns.append(n)
         columns.append(rim_factor * (kernel @ coeffs[positions]))
+    if not ns:
+        return np.zeros((r.size, theta.size), dtype=complex)
     radial = np.array(columns, dtype=complex).reshape(len(ns), r.size).T
-    return radial @ np.exp(1j * np.array(ns, dtype=float)[:, None] * theta[None, :])
+    modes = np.array(ns)
+    top = max(-ns[0], ns[-1])
+    width = _KEPT_KERNEL_BYTES // (16 * (top + 1))  # angles per kept table or block
+    if theta.size <= width:
+        return radial @ _phases(_kept_phases(theta.tobytes(), top), modes)
+    # a one-row product is a BLAS gemv, whose sums depend on how BLAS shares the
+    # angles among its threads; it is split only when no mode but 0 is nonzero
+    # (r = 0 or 1), since the phase 1 of mode 0 makes every such sum exact
+    if r.size == 1 and radial[0, modes != 0].any():
+        return radial @ _phases(_half_phases(theta, top), modes)
+    values = np.empty((r.size, theta.size), dtype=complex)
+    for start, stop in _angle_blocks(theta.size, width):
+        phases = _phases(_half_phases(theta[start:stop], top), modes)
+        np.matmul(radial, phases, out=values[:, start:stop])
+        del phases  # freed before the next block's phases are built
+    return values
+
+
+def _half_phases(theta: np.ndarray, top: int) -> np.ndarray:
+    """The rows n = 0 .. top of e^(i n theta), n as float, by the expression
+    that builds a whole phase matrix, so each row has that matrix's bits."""
+    return np.exp(1j * np.arange(top + 1, dtype=float)[:, None] * theta[None, :])
+
+
+@lru_cache(maxsize=8)
+def _kept_phases(angles: bytes, top: int) -> np.ndarray:
+    """Read-only :func:`_half_phases` of the float64 angles whose bytes are ``angles``."""
+    half = _half_phases(np.frombuffer(angles), top)
+    half.flags.writeable = False
+    return half
+
+
+def _phases(half: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """The rows e^(i n theta) of the increasing modes, gathered from a half-table;
+    the rows of n < 0, a prefix, are conjugated in place: cos is even and sin odd
+    to the last bit, so a conjugate row has the bits of e^(i n theta) itself."""
+    phases = half[np.abs(modes)]
+    negative = phases[: np.count_nonzero(modes < 0)]
+    np.conjugate(negative, out=negative)
+    return phases
+
+
+#: Block starts fall on multiples of this many angles: BLAS sums the columns of a
+#: tile of its kernel in another order than those of a partial tile at an edge, so
+#: a block that starts inside a tile would change the bits of the columns after it.
+_ANGLE_UNIT = 64
+
+
+def _angle_blocks(size: int, width: int) -> list[tuple[int, int]]:
+    """(start, stop) of the fewest blocks of at most width angles (at least
+    :data:`_ANGLE_UNIT`) that cover size angles, of near-equal widths and each start
+    a multiple of _ANGLE_UNIT, so that no last block is much smaller than the rest."""
+    units = -(-size // _ANGLE_UNIT)
+    blocks = -(-units // max(1, width // _ANGLE_UNIT))
+    edges = [min(size, _ANGLE_UNIT * (units * k // blocks)) for k in range(blocks + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def _finite_coefficients(table: ExpansionTable) -> np.ndarray:
@@ -219,6 +287,8 @@ def boundary_value_check(table: ExpansionTable, n_theta: int) -> float:
     the last bit for any finite table; a nonzero return flags a synthesis
     bug, not a modeling error.  A whole-basis table reads its kernels at
     the r = [1.0] of :func:`_rim_max` from the kernel cache; any other table builds them.
+    The phases of the n_theta angles come from the half-table that the
+    synthesis keeps for them (:func:`_kept_phases`), so a repeated check builds none.
     """
     return _rim_max(
         lambda r, theta: _synthesize(table, r, theta, _rule_kernels(table.indices, r)), n_theta
@@ -244,8 +314,9 @@ def _rim_max(values: Callable[[np.ndarray, np.ndarray], np.ndarray], n_theta: in
 
 def solve_table(f_table: ExpansionTable) -> ExpansionTable:
     """Divide the table's ``values`` by the eigenvalues p*q of its ``indices``,
-    from the p and q arrays of their mode plan (cached for a whole basis); the
-    result keeps indices and truncation.
+    from the p and q arrays of the cached plan of a whole basis, or read from the
+    indices of any other table, with no mode plan; the result keeps indices and
+    truncation.
 
     Each quotient has the bits of the Python c / (p*q): CPython divides by the
     complex pq + 0j, giving ((re + im * 0) / pq, (im - re * 0) / pq), signed zeros,
@@ -253,7 +324,7 @@ def solve_table(f_table: ExpansionTable) -> ExpansionTable:
     reciprocal, which gives other bits, so the parts are divided as CPython does.
     """
     c = f_table.values
-    _, _, _, p, q = _plan(f_table.indices)
+    p, q = _plan_pq(f_table.indices)
     eigenvalues = p * q  # exact integers in float64, so each quotient keeps its bits
     quotient = np.empty_like(c)
     with np.errstate(invalid="ignore"):  # inf * 0 is nan, as in CPython, without a word

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from bisect import bisect_left
 from datetime import timedelta
 
@@ -20,12 +21,17 @@ from scatterpoly.scattering import (
     apply_modified_laplacian,
     basis_indices,
     jacobi_form,
+    mode_kernels,
     norm_sq,
     rodrigues,
 )
 from scatterpoly.transform import (
     ExpansionTable,
     GridSample,
+    _angle_blocks,
+    _half_phases,
+    _kept_phases,
+    _phases,
     basis_function,
     boundary_value_check,
     expand,
@@ -302,6 +308,41 @@ class TestArraySolve:
         assert solve_table(ExpansionTable({}, 5)).items() == []
 
 
+class TestPartialTableSolve:
+    """A table that is not a whole basis is solved from its own indices, with no mode plan."""
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        calls = []
+        mode_plan = scattering._mode_plan
+
+        def counted(*args):
+            calls.append(args)
+            return mode_plan(*args)
+
+        monkeypatch.setattr(scattering, "_mode_plan", counted)
+        return calls
+
+    @pytest.mark.parametrize("top", [3, 5, 32, 128])
+    def test_builds_no_mode_plan(self, top, plans):
+        rng = random.Random(top)
+        basis = scattering._basis(top)
+        # without phi^(1,1), no subset is the whole basis of any truncation
+        for members in (basis[1:], basis[1::3], rng.sample(basis[1:], k=len(basis) // 2)):
+            parts = [rng.choice(SPECIAL_PARTS) for _ in range(2 * len(members))]
+            table = ExpansionTable(dict(zip(members, map(complex, parts[::2], parts[1::2]))), top)
+            solved = solve_table(table)
+            expected = per_coefficient_quotients(table).view(np.int64)
+            assert np.array_equal(solved.values.view(np.int64), expected)
+        assert plans == []
+
+    def test_whole_basis_reads_the_cached_plan(self, plans):
+        table = expand(lambda r, theta: (1.0 - r * r) * np.cos(theta), 9)
+        planned = len(plans)  # at most the first plan of T = 9, built by expand
+        solve_table(table)
+        assert len(plans) == planned
+
+
 class TestExpand:
     def test_basis_member_expands_to_itself(self):
         idx = PQIndex(2, 3)
@@ -433,6 +474,150 @@ class TestBoundary:
     def test_rim_amplitude(self):
         assert rim_amplitude(lambda r, theta: 1.0, 64) == 1.0
         assert rim_amplitude(lambda r, theta: (1.0 - r * r) * np.exp(1j * theta), 64) == 0.0
+
+
+def direct_synthesis(table: ExpansionTable, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The partial sum as A @ E with the whole phase matrix E built by one np.exp,
+    the reference for every phase route (E is formed in place, to halve its memory)."""
+    ns, columns = [], []
+    for n, positions, kernel in mode_kernels(table.indices, r):
+        ns.append(n)
+        columns.append((1.0 - r * r) * (kernel @ table.values[positions]))
+    radial = np.array(columns, dtype=complex).reshape(len(ns), r.size).T
+    phases = 1j * np.array(ns, dtype=float)[:, None] * theta[None, :]
+    return radial @ np.exp(phases, out=phases)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def modes_table(modes, truncation: int = 24, seed: int = 0) -> ExpansionTable:
+    """Random coefficients on every member of the basis at truncation whose mode is in modes."""
+    rng = random.Random(seed)
+    members = [idx for idx in basis_indices(truncation) if idx.angular_frequency in modes]
+    return ExpansionTable(
+        {idx: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for idx in members}, truncation
+    )
+
+
+PHASE_TABLES = {
+    "whole": lambda: modes_table(range(-22, 23)),
+    "negative modes": lambda: modes_table(range(-22, 0)),
+    "positive modes": lambda: modes_table(range(1, 23)),
+    "modes -5 and 7": lambda: modes_table({-5, 7}),
+    "mode 0": lambda: modes_table({0}),
+    "empty": lambda: ExpansionTable({}, 24),
+}
+
+PHASE_GRIDS = {
+    "polar": lambda: polar_grid(6, 37),
+    "one angle": lambda: (np.array([0.2, 0.7]), np.array([1.3])),
+    "signed unsorted angles": lambda: (
+        np.array([0.9, 0.1, 0.5]), np.array([-3.0, 2.5, -0.25, 6.0, -7.5, 0.0, 1e-9])
+    ),
+    "no angles": lambda: (np.array([0.3, 0.6]), np.array([])),
+    "no radii": lambda: (np.array([]), polar_grid(1, 16)[1]),
+    "one radius": lambda: (np.array([0.45]), polar_grid(1, 53)[1]),
+}
+
+
+class TestPhaseTables:
+    """Synthesis takes its phases from kept half-tables, with the bits of one np.exp."""
+
+    @pytest.mark.parametrize("top", [0, 1, 5, 62, 126])
+    def test_conjugate_rows_have_the_bits_of_exp(self, top):
+        modes = np.arange(-top, top + 1)
+        for theta in (polar_grid(1, 37)[1], polar_grid(1, 1000)[1],
+                      np.random.default_rng(top).uniform(-20.0, 20.0, 301)):
+            expected = np.exp(1j * modes.astype(float)[:, None] * theta[None, :])
+            assert same_bits(_phases(_half_phases(theta, top), modes), expected)
+
+    @pytest.mark.parametrize("grid", sorted(PHASE_GRIDS))
+    @pytest.mark.parametrize("kind", sorted(PHASE_TABLES))
+    def test_reconstruct_has_the_bits_of_one_phase_matrix(self, kind, grid):
+        table = PHASE_TABLES[kind]()
+        r, theta = PHASE_GRIDS[grid]()
+        values = reconstruct(table, r, theta).values
+        assert same_bits(values, direct_synthesis(table, r, theta))
+        assert values.shape == (r.size, theta.size)
+        if kind == "empty":
+            assert not values.any()
+
+    def test_repeated_calls_build_no_table(self):
+        def f(r, theta):
+            return (1.0 - r * r) * r * r * np.cos(2.0 * theta)
+
+        table = expand(f, 14)
+        r, theta = polar_grid(16, 48)
+
+        def calls():
+            reconstruct(table, r, theta)
+            boundary_value_check(table, 48)
+            expansion_residual(f, table)
+
+        calls()
+        before = _kept_phases.cache_info()
+        calls()
+        after = _kept_phases.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 3, before.misses)
+
+    def test_tables_are_kept_read_only(self):
+        theta = polar_grid(1, 29)[1]
+        reconstruct(modes_table({-3, 4}), np.array([0.5]), theta)
+        half = _kept_phases(theta.tobytes(), 4)
+        assert half.shape == (5, 29) and not half.flags.writeable
+
+    def test_wide_grid_is_synthesized_in_bounded_blocks(self):
+        # T = 64 has modes up to 62: 63 half-table rows of 65536 angles would take
+        # 66 MB, over the 2 MiB a kept table may take, so the angles go in blocks
+        rng = random.Random(64)
+        basis = scattering._basis(64)
+        table = ExpansionTable(
+            {idx: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for idx in basis}, 64
+        )
+        r, theta = polar_grid(2, 65536)
+        reconstruct(table, r, polar_grid(1, 8)[1])  # construction checks, outside the trace
+        kept = _kept_phases.cache_info().currsize
+        tracemalloc.start()
+        try:
+            values = reconstruct(table, r, theta).values
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert _kept_phases.cache_info().currsize == kept
+        assert same_bits(values, direct_synthesis(table, r, theta))
+
+    def test_table_over_the_cap_is_not_kept(self):
+        # a one-radius grid over the cap: a sum with more than mode 0 is one product,
+        # the rim's zeros go in blocks; both keep the bits of one phase matrix
+        table = modes_table({-5, 7})
+        # 8 rows of 20002 angles, 2.56 MB; BLAS's threads split a one-row product
+        # at 10001 angles, inside a tile of its kernel
+        theta = polar_grid(1, 20002)[1]
+        kept = _kept_phases.cache_info().currsize
+        for r in (np.array([0.3]), np.array([0.0, 0.5]), np.array([1.0 - 2.0**-53])):
+            assert same_bits(reconstruct(table, r, theta).values, direct_synthesis(table, r, theta))
+        assert boundary_value_check(table, 20002) == 0.0
+        assert _kept_phases.cache_info().currsize == kept
+
+    @pytest.mark.parametrize("grid", [(2, 12007), (3, 17001), (3, 23003)])
+    def test_block_edges_keep_the_bits(self, grid):
+        # 23 rows take 5698 angles a block; unaligned block starts would change bits
+        table = modes_table(range(-22, 23))
+        r, theta = polar_grid(*grid)
+        assert same_bits(reconstruct(table, r, theta).values, direct_synthesis(table, r, theta))
+
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 5698, 12007, 65536, 262144])
+    @pytest.mark.parametrize("width", [1, 64, 100, 1032, 5698])
+    def test_angle_blocks_cover_the_grid(self, size, width):
+        blocks = _angle_blocks(size, width)
+        starts, stops = zip(*blocks)
+        assert starts[0] == 0 and stops[-1] == size and list(starts[1:]) == list(stops[:-1])
+        assert all(start % 64 == 0 for start in starts)
+        widths = [stop - start for start, stop in blocks]
+        assert max(widths) <= max(64, width // 64 * 64) and min(widths) > 0
 
 
 class TestSolve:

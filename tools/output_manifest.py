@@ -57,6 +57,8 @@ COMMANDS = [
     ["eval", "8", "24", "--grid", "128x256"],
     ["eval", "8", "24", "--grid", "128x256", "--format", "json"],
     *EXPANSIONS,
+    # phases too large to keep: the synthesis goes one block of angles at a time
+    ["solve", "builtin:phi_5_9", "--trunc", "64", "--grid", "4x16384"],
     ["expand", "builtin:one", "--trunc", "16"],
     ["moments", "2", "3"],
     ["moments", "2", "3", "--eps-ladder", "1e-2,1e-4,1e-6,1e-8"],
