@@ -25,7 +25,7 @@ import numpy as np
 
 from .jacobi import gauss_legendre
 from .poly_algebra import BivariatePoly, ComplexRational
-from .scattering import PQIndex, _rule_kernels, jacobi_form
+from .scattering import PQIndex, _plan, _rule_kernels, jacobi_form
 
 #: f(r, theta) on the disk, on floats or on arrays that broadcast together
 #: (a float-only f costs one call per node, see :func:`sample_polar`).
@@ -107,13 +107,13 @@ def gram(indices: Sequence[PQIndex]) -> GramMatrix:
     if not indices:
         raise ValueError("index sequence must be nonempty")
     idx = tuple(indices)
-    order = max(i.p + i.q for i in idx) + 2
-    rule = gauss_legendre(order)
+    plan = _plan(idx)
+    rule = gauss_legendre(plan.degree + 2)
     r = np.sqrt((1.0 + rule.nodes) / 2.0)
     weight = (math.pi / 2.0) * rule.weights * (1.0 - rule.nodes) / 2.0
     size = len(idx)
     places, blocks = [], []
-    for _, positions, kernel in _rule_kernels(idx, r):
+    for _, positions, kernel in _rule_kernels(plan, r):
         block = (kernel.T * weight) @ kernel
         np.copyto(block, block.T, where=_strict_lower(len(block)))
         places.append((positions[:, None] * size + positions).ravel())
@@ -173,7 +173,7 @@ def inner_products(
     fhat = np.fft.fft(sample_polar(f, r, angle_grid(angular_points)), axis=1)
     weighted = fhat * (rule.weights / 4.0 * (2.0 * math.pi / angular_points))[:, None]
     out = np.empty(len(indices), dtype=complex)
-    for n, positions, kernel in _rule_kernels(indices, r):
+    for n, positions, kernel in _rule_kernels(_plan(tuple(indices)), r):
         out[positions] = kernel.T @ weighted[:, n % angular_points]
     return out
 

@@ -34,7 +34,7 @@ import operator
 import random
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, zip_longest
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
@@ -295,74 +295,85 @@ jacobi_form.cache_info = lambda: _CacheInfo(
 )
 
 
-def _mode_plan(indices: Sequence[PQIndex], top: int = 0) -> tuple:
-    """(T, modes, need, p, q) from one walk over indices, T = top: per mode
-    n = q - p in increasing n, (n, positions, degrees nu), positions a read-only
-    int array and the degrees a slice when they are consecutive (every mode of a
-    basis), else a read-only int array; the check need {n: max nu + 1}; and the
-    p and q of every index, in order, as int arrays.  All read-only, as a basis
-    plan is shared."""
-    import numpy as np
+class _Plan:
+    """What the float routes read of an index sequence, read-only: ``top``, T when the
+    indices are the tuple :func:`_basis` of T, else 0; ``p`` and ``q`` of every index,
+    in order, as read-only int arrays; and ``degree``, the largest p + q (0 for no
+    index).  ``modes``, ``need`` and ``norms`` are built at their first read, as a
+    basis plan is shared by every call on its basis."""
 
-    modes: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
-    for position, idx in enumerate(indices):
-        positions, nus = modes[idx.q - idx.p]
-        positions.append(position)
-        nus.append(min(idx.p, idx.q) - 1)
-    plan = []
-    for n, (positions, nus) in sorted(modes.items()):
-        if nus == list(range(nus[0], nus[0] + len(nus))):
+    def __init__(self, indices: Sequence[PQIndex], top: int = 0) -> None:
+        import numpy as np
+
+        p = _frozen(np.fromiter((idx.p for idx in indices), int, len(indices)))
+        q = _frozen(np.fromiter((idx.q for idx in indices), int, len(indices)))
+        self.__dict__.update(top=top, p=p, q=q, degree=int((p + q).max(initial=0)))
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"a plan is read-only: {name!r} cannot change")
+
+    @cached_property
+    def modes(self) -> tuple:
+        """Per mode n = q - p in increasing n, (n, positions, degrees nu): positions a
+        read-only int array, the degrees a slice when they are consecutive (every mode
+        of a basis), else a read-only int array."""
+        import numpy as np
+
+        groups: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
+        for position, (p, q) in enumerate(zip(self.p.tolist(), self.q.tolist())):
+            positions, nus = groups[q - p]
+            positions.append(position)
+            nus.append(min(p, q) - 1)
+        modes = []
+        for n, (positions, nus) in sorted(groups.items()):
             degrees = slice(nus[0], nus[0] + len(nus))
-        else:
-            degrees = np.array(nus)
-            degrees.flags.writeable = False
-        positions = np.array(positions)
-        positions.flags.writeable = False
-        plan.append((n, positions, degrees))
-    need = MappingProxyType({n: max(nus) + 1 for n, (_, nus) in modes.items()})
-    return (top, tuple(plan), need, *_index_arrays(indices))
+            if nus != list(range(degrees.start, degrees.stop)):
+                degrees = _frozen(np.array(nus))
+            modes.append((n, _frozen(np.array(positions)), degrees))
+        return tuple(modes)
+
+    @cached_property
+    def need(self) -> MappingProxyType:
+        """The check need {n: max nu + 1} of every mode."""
+        return MappingProxyType({
+            n: nus.stop if isinstance(nus, slice) else int(nus.max()) + 1
+            for n, _, nus in self.modes
+        })
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """:func:`norm_sq` of every index, in order, read-only: the bits of one
+        division per index."""
+        return _frozen(math.pi * self.p / (self.q * (self.p + self.q)))
 
 
-def _index_arrays(indices: Sequence[PQIndex]) -> tuple:
-    """The p and q of every index, in order, as read-only int arrays."""
-    import numpy as np
-
-    p = np.fromiter((idx.p for idx in indices), int, len(indices))
-    q = np.fromiter((idx.q for idx in indices), int, len(indices))
-    p.flags.writeable = q.flags.writeable = False
-    return p, q
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """array, flagged read-only."""
+    array.flags.writeable = False
+    return array
 
 
 @lru_cache(maxsize=8)
 def _basis(max_sum: int) -> tuple[PQIndex, ...]:
     """The basis with p + q <= max_sum as one tuple, which :func:`basis_indices` copies."""
+    if max_sum < 2:
+        raise ValueError("max_sum must be >= 2")
     return tuple(PQIndex(p, q) for p in range(1, max_sum) for q in range(1, max_sum - p + 1))
 
 
 @lru_cache(maxsize=8)
-def _basis_modes(max_sum: int) -> tuple:
-    """The :func:`_mode_plan` of :func:`_basis`, built at the first float call."""
-    return _mode_plan(_basis(max_sum), max_sum)
+def _basis_plan(max_sum: int) -> _Plan:
+    """The :class:`_Plan` of :func:`_basis`, built at the first float call on it."""
+    return _Plan(_basis(max_sum), max_sum)
 
 
-def _basis_top(indices: tuple) -> int:
-    """T when indices is the tuple :func:`_basis` of T, found by one tuple comparison, else 0."""
+def _plan(indices: tuple) -> _Plan:
+    """The plan of indices: the cached :func:`_basis_plan` of T when indices is the
+    tuple :func:`_basis` of T, found by one tuple comparison, else a fresh one."""
     top = indices[-1].p + 1 if indices and isinstance(indices[-1], PQIndex) else 0
-    return top if len(indices) == top * (top - 1) // 2 > 0 and indices == _basis(top) else 0
-
-
-def _plan(indices: tuple) -> tuple:
-    """The :func:`_mode_plan` of indices: the cached plan of :func:`_basis` of T when
-    indices is that tuple, else a fresh one with T = 0."""
-    top = _basis_top(indices)
-    return _basis_modes(top) if top else _mode_plan(indices)
-
-
-def _plan_pq(indices: tuple) -> tuple:
-    """The p and q arrays of :func:`_plan` (indices), with no mode grouping when
-    indices is not a whole basis."""
-    top = _basis_top(indices)
-    return _basis_modes(top)[3:] if top else _index_arrays(indices)
+    if len(indices) == top * (top - 1) // 2 > 0 and indices == _basis(top):
+        return _basis_plan(top)
+    return _Plan(indices)
 
 
 def mode_kernels(
@@ -376,9 +387,9 @@ def mode_kernels(
     A basis finds its cached plan by one tuple comparison; other indices
     are grouped anew.  New members are checked, and one table built, at the call.
     """
-    _, modes, need, _, _ = _plan(tuple(indices))
-    _check_modes(need)
-    return _plan_kernels(modes, r)
+    plan = _plan(tuple(indices))
+    _check_modes(plan.need)
+    return _plan_kernels(plan.modes, r)
 
 
 def _plan_kernels(modes: tuple, r: np.ndarray) -> Iterator[tuple]:
@@ -404,26 +415,24 @@ def _kept_kernels(top: int, radii: bytes) -> tuple:
     ``radii``; checks no member."""
     import numpy as np
 
-    built = tuple(_plan_kernels(_basis_modes(top)[1], np.frombuffer(radii)))
+    built = tuple(_plan_kernels(_basis_plan(top).modes, np.frombuffer(radii)))
     for _, _, kernel in built:
         kernel.flags.writeable = False
     return built
 
 
-def _rule_kernels(indices: Sequence[PQIndex], r: np.ndarray) -> Iterable[tuple]:
-    """:func:`mode_kernels` of indices at the float64 radii r, one axis: a whole basis
-    of T gets the kept set of key (T, r.tobytes()), its members looked up at every
-    call as by mode_kernels; other sequences and sets above :data:`_KEPT_KERNEL_BYTES`
-    do not.  The library's radii are sqrt((1 + u) / 2) at the nodes u of the
-    projection's rule T + 8, the Gram matrix's T + 2 and the expansion residual's
-    2T + 12 (kept up to T = 62), and the rim r = 1 of the boundary check, 8 bytes
-    per member."""
-    indices = tuple(indices)
-    top, modes, need, _, _ = _plan(indices)
-    _check_modes(need)
-    if not top or 8 * len(indices) * r.size > _KEPT_KERNEL_BYTES:
-        return _plan_kernels(modes, r)
-    return _kept_kernels(top, r.tobytes())
+def _rule_kernels(plan: _Plan, r: np.ndarray) -> Iterable[tuple]:
+    """:func:`mode_kernels` of the indices of plan at the float64 radii r, one axis: a
+    whole basis of T gets the kept set of key (T, r.tobytes()), its members looked up
+    at every call as by mode_kernels; other sequences and sets above
+    :data:`_KEPT_KERNEL_BYTES` do not.  The library's radii are sqrt((1 + u) / 2) at
+    the nodes u of the projection's rule T + 8, the Gram matrix's T + 2 and the
+    expansion residual's 2T + 12 (kept up to T = 62), and the rim r = 1 of the
+    boundary check, 8 bytes per member."""
+    _check_modes(plan.need)
+    if not plan.top or 8 * plan.p.size * r.size > _KEPT_KERNEL_BYTES:
+        return _plan_kernels(plan.modes, r)
+    return _kept_kernels(plan.top, r.tobytes())
 
 
 def resolved_sign(idx: PQIndex) -> int:
@@ -475,8 +484,6 @@ def eigenspace_indices(k: int) -> list[PQIndex]:
 
 def basis_indices(max_sum: int) -> list[PQIndex]:
     """All (p, q) with p, q >= 1 and p + q <= max_sum, lexicographic, in a new list."""
-    if max_sum < 2:
-        raise ValueError("max_sum must be >= 2")
     return list(_basis(max_sum))
 
 

@@ -24,7 +24,6 @@ row |n|, and builds a table too large to keep one block of angles at a time.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from bisect import bisect_left
@@ -44,20 +43,20 @@ from .scattering import (
     _KEPT_KERNEL_BYTES,
     PQIndex,
     _basis,
-    _plan_pq,
+    _basis_plan,
+    _plan,
     _rule_kernels,
-    basis_indices,
     jacobi_form,
     mode_kernels,
-    norm_sq,
     radial_sum_profile,
 )
 
 
 class ExpansionTable:
     """A truncated expansion, read-only: ``indices``, a tuple of PQIndex in
-    ascending (p, q) order with p + q <= ``truncation``, and ``values``, their
-    coefficients as one read-only complex128 array; absent members mean zero.
+    ascending (p, q) order with p + q <= ``truncation``, an integer >= 0, and
+    ``values``, their coefficients as one read-only complex128 array; absent
+    members mean zero.
     The constructor checks and sorts a mapping {PQIndex: number} once (a str or
     bytes value is a TypeError); expand and solve_table build tables from arrays
     unchecked.  ``coefficient(idx)`` finds idx by bisection in ``indices``;
@@ -65,6 +64,8 @@ class ExpansionTable:
 
     def __init__(self, coefficients: Mapping[PQIndex, complex], truncation: int) -> None:
         truncation = operator.index(truncation)
+        if truncation < 0:
+            raise ValueError(f"truncation must be >= 0, not {truncation}")
         for idx, c in coefficients.items():
             if not isinstance(idx, PQIndex):
                 raise TypeError("coefficient keys must be PQIndex")
@@ -164,18 +165,9 @@ def expand(
     """
     order = radial_order if radial_order is not None else truncation + 8
     points = angular_points if angular_points is not None else 4 * truncation + 16
-    norms = _basis_norms(truncation)  # ValueError below truncation 2
-    indices = _basis(truncation)
-    values = inner_products(f, indices, order, points) / norms
+    indices = _basis(truncation)  # ValueError below truncation 2
+    values = inner_products(f, indices, order, points) / _basis_plan(truncation).norms
     return _fill(object.__new__(ExpansionTable), indices, values, truncation)
-
-
-@lru_cache(maxsize=8)
-def _basis_norms(truncation: int) -> np.ndarray:
-    """:func:`norm_sq` of every basis member, read-only, in basis order."""
-    norms = np.array([norm_sq(idx) for idx in basis_indices(truncation)])
-    norms.flags.writeable = False
-    return norms
 
 
 def _synthesize(
@@ -192,7 +184,7 @@ def _synthesize(
     top the largest |n|, with a row of n < 0 the conjugate of row |n|.  A
     half-table of at most :data:`_KEPT_KERNEL_BYTES` is kept by
     :func:`_kept_phases`; a larger one is built per call, one block of angles at
-    a time (:func:`_angle_blocks`), each block's product written into the result.
+    a time, each block's product written into the result.
     """
     coeffs = _finite_coefficients(table)
     # the (1 - r^2) factor stays explicit, so the sum is 0 at r = 1 exactly
@@ -207,19 +199,26 @@ def _synthesize(
     modes = np.array(ns)
     top = max(-ns[0], ns[-1])
     width = _KEPT_KERNEL_BYTES // (16 * (top + 1))  # angles per kept table or block
-    if theta.size <= width:
-        return radial @ _phases(_kept_phases(theta.tobytes(), top), modes)
+    kept = theta.size <= width
     # a one-row product is a BLAS gemv, whose sums depend on how BLAS shares the
     # angles among its threads; it is split only when no mode but 0 is nonzero
     # (r = 0 or 1), since the phase 1 of mode 0 makes every such sum exact
-    if r.size == 1 and radial[0, modes != 0].any():
-        return radial @ _phases(_half_phases(theta, top), modes)
+    if kept or r.size == 1 and radial[0, modes != 0].any():
+        step = max(theta.size, 1)
+    else:
+        step = max(_ANGLE_UNIT, width // _ANGLE_UNIT * _ANGLE_UNIT)
     values = np.empty((r.size, theta.size), dtype=complex)
-    for start, stop in _angle_blocks(theta.size, width):
-        phases = _phases(_half_phases(theta[start:stop], top), modes)
-        np.matmul(radial, phases, out=values[:, start:stop])
-        del phases  # freed before the next block's phases are built
+    for start in range(0, theta.size, step):
+        block = slice(start, start + step)
+        half = _kept_phases(theta.tobytes(), top) if kept else _half_phases(theta[block], top)
+        np.matmul(radial, _phases(half, modes), out=values[:, block])
     return values
+
+
+#: Block starts fall on multiples of this many angles: BLAS sums the columns of a
+#: tile of its kernel in another order than those of a partial tile at an edge, so
+#: a block that starts inside a tile would change the bits of the columns after it.
+_ANGLE_UNIT = 64
 
 
 def _half_phases(theta: np.ndarray, top: int) -> np.ndarray:
@@ -246,27 +245,13 @@ def _phases(half: np.ndarray, modes: np.ndarray) -> np.ndarray:
     return phases
 
 
-#: Block starts fall on multiples of this many angles: BLAS sums the columns of a
-#: tile of its kernel in another order than those of a partial tile at an edge, so
-#: a block that starts inside a tile would change the bits of the columns after it.
-_ANGLE_UNIT = 64
-
-
-def _angle_blocks(size: int, width: int) -> list[tuple[int, int]]:
-    """(start, stop) of the fewest blocks of at most width angles (at least
-    :data:`_ANGLE_UNIT`) that cover size angles, of near-equal widths and each start
-    a multiple of _ANGLE_UNIT, so that no last block is much smaller than the rest."""
-    units = -(-size // _ANGLE_UNIT)
-    blocks = -(-units // max(1, width // _ANGLE_UNIT))
-    edges = [min(size, _ANGLE_UNIT * (units * k // blocks)) for k in range(blocks + 1)]
-    return list(zip(edges, edges[1:]))
-
-
 def _finite_coefficients(table: ExpansionTable) -> np.ndarray:
     """The table's values, or ValueError naming the first nan or infinite one."""
-    if not np.isfinite(table.values).all():
-        idx, c = next((idx, c) for idx, c in table.items() if not cmath.isfinite(c))
-        raise ValueError(f"coefficient of {idx} is not finite: {c!r}")
+    finite = np.isfinite(table.values)
+    if not finite.all():
+        i = int(finite.argmin())  # the first False
+        c = table.values[i].item()
+        raise ValueError(f"coefficient of {table.indices[i]} is not finite: {c!r}")
     return table.values
 
 
@@ -291,7 +276,8 @@ def boundary_value_check(table: ExpansionTable, n_theta: int) -> float:
     synthesis keeps for them (:func:`_kept_phases`), so a repeated check builds none.
     """
     return _rim_max(
-        lambda r, theta: _synthesize(table, r, theta, _rule_kernels(table.indices, r)), n_theta
+        lambda r, theta: _synthesize(table, r, theta, _rule_kernels(_plan(table.indices), r)),
+        n_theta,
     )
 
 
@@ -314,8 +300,8 @@ def _rim_max(values: Callable[[np.ndarray, np.ndarray], np.ndarray], n_theta: in
 
 def solve_table(f_table: ExpansionTable) -> ExpansionTable:
     """Divide the table's ``values`` by the eigenvalues p*q of its ``indices``,
-    from the p and q arrays of the cached plan of a whole basis, or read from the
-    indices of any other table, with no mode plan; the result keeps indices and
+    p and q from :func:`~scatterpoly.scattering._plan` (the cached plan of a whole
+    basis; any other table's modes are not grouped); the result keeps indices and
     truncation.
 
     Each quotient has the bits of the Python c / (p*q): CPython divides by the
@@ -324,8 +310,8 @@ def solve_table(f_table: ExpansionTable) -> ExpansionTable:
     reciprocal, which gives other bits, so the parts are divided as CPython does.
     """
     c = f_table.values
-    p, q = _plan_pq(f_table.indices)
-    eigenvalues = p * q  # exact integers in float64, so each quotient keeps its bits
+    plan = _plan(f_table.indices)
+    eigenvalues = plan.p * plan.q  # exact integers in float64, so each quotient keeps its bits
     quotient = np.empty_like(c)
     with np.errstate(invalid="ignore"):  # inf * 0 is nan, as in CPython, without a word
         quotient.real = (c.real + c.imag * 0.0) / eigenvalues
@@ -396,17 +382,20 @@ def expansion_residual(
     Dirichlet-compatible target still vanishes at the rim, and the
     Gauss-Legendre nodes keep strictly inside the disk regardless.  A table
     of a whole basis reads its kernels at the default rule, order 2T + 12,
-    from the kernel cache, as :func:`expand` does at its rule.
+    from the kernel cache, as :func:`expand` does at its rule.  The default orders
+    follow the table's largest p + q, which is its truncation for a table that
+    :func:`expand` or :func:`solve_table` builds.
     """
-    order = radial_order if radial_order is not None else 2 * table.truncation + 12
-    points = angular_points if angular_points is not None else 8 * table.truncation + 32
+    plan = _plan(table.indices)
+    order = radial_order if radial_order is not None else 2 * plan.degree + 12
+    points = angular_points if angular_points is not None else 8 * plan.degree + 32
     if order < 1 or points < 1:
         raise ValueError("quadrature orders must be >= 1")
     rule = gauss_legendre(order)
     u = rule.nodes
     r = np.sqrt((1.0 + u) / 2.0)
     theta = angle_grid(points)
-    kernels = _rule_kernels(table.indices, r)
+    kernels = _rule_kernels(plan, r)
     residual_sq = np.abs(sample_polar(f, r, theta) - _synthesize(table, r, theta, kernels)) ** 2
     radial_weights = rule.weights / (1.0 - u)
     total = (math.pi / points) * float(radial_weights @ residual_sq.sum(axis=1))

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scatterpoly import cli, jacobi, scattering
+from scatterpoly import cli, jacobi, quadrature, scattering, transform
 from scatterpoly.jacobi import gauss_legendre
 from scatterpoly.poly_algebra import BOUNDARY_FACTOR, BivariatePoly, WProfile, Z, ZBAR
 from scatterpoly.quadrature import gram, inner_product_poly_exact, inner_products
@@ -43,6 +43,7 @@ from scatterpoly.transform import (
     expansion_residual,
     polar_grid,
     reconstruct,
+    solve_table,
     solve_weighted_poisson,
 )
 
@@ -413,10 +414,68 @@ class TestModePlan:
         # a table sorts its keys, so a shuffled one is the basis table again
         regrouped = ExpansionTable({idx: table.coefficient(idx) for idx in shuffled}, 24)
         r, theta = polar_grid(16, 32)
-        hits = scattering._basis_modes.cache_info().hits
+        hits = scattering._basis_plan.cache_info().hits
         cached = reconstruct(table, r, theta).values
         assert np.array_equal(reconstruct(regrouped, r, theta).values, cached)
-        assert scattering._basis_modes.cache_info().hits == hits + 2
+        assert scattering._basis_plan.cache_info().hits == hits + 2
+
+    @pytest.mark.parametrize("top", [2, 3, 17, 64])
+    def test_plan_fields(self, top):
+        basis = scattering._basis(top)
+        gaps = (PQIndex(3, 5), PQIndex(1, 3), PQIndex(4, 6))
+        for indices in (basis, basis[::-1], gaps, ()):
+            plan = scattering._plan(indices)
+            assert plan.top == (top if indices == basis else 0)
+            assert plan.p.tolist() == [idx.p for idx in indices]
+            assert plan.q.tolist() == [idx.q for idx in indices]
+            assert plan.degree == max((idx.p + idx.q for idx in indices), default=0)
+            expected = np.array([norm_sq(idx) for idx in indices], dtype=float)
+            assert np.array_equal(plan.norms.view(np.int64), expected.view(np.int64))
+            for n, positions, nus in plan.modes:
+                members = [indices[k] for k in positions]
+                assert all(idx.angular_frequency == n for idx in members)
+                assert list(np.arange(2 * top)[nus]) == [idx.nu for idx in members]
+                assert plan.need[n] == max(idx.nu for idx in members) + 1
+            assert sorted(plan.need) == sorted({idx.angular_frequency for idx in indices})
+            for array in (plan.p, plan.q, plan.norms):
+                assert not array.flags.writeable
+            with pytest.raises(AttributeError):
+                plan.top = 1
+
+    def test_a_basis_plan_is_built_once(self):
+        plan = scattering._plan(scattering._basis(21))
+        hits = scattering._basis_plan.cache_info().hits
+        assert scattering._plan(tuple(basis_indices(21))) is plan
+        assert scattering._basis_plan.cache_info().hits == hits + 1
+        assert scattering._plan(tuple(basis_indices(21))[:-1]) is not plan
+
+    def test_one_plan_lookup_per_warm_call(self, monkeypatch):
+        table = expand(bump, 12)
+        r, theta = polar_grid(16, 32)
+        calls = {
+            "expand": lambda: expand(bump, 12),
+            "solve_table": lambda: solve_table(table),
+            "reconstruct": lambda: reconstruct(table, r, theta),
+            "boundary_value_check": lambda: boundary_value_check(table, 64),
+            "expansion_residual": lambda: expansion_residual(bump, table),
+            "gram": lambda: gram(table.indices),
+            "inner_products": lambda: inner_products(bump, table.indices, 20, 64),
+        }
+        for call in calls.values():
+            call()
+        lookups = []
+        plan = scattering._plan
+
+        def counted(indices):
+            lookups.append(indices)
+            return plan(indices)
+
+        for module in (scattering, quadrature, transform):
+            monkeypatch.setattr(module, "_plan", counted)
+        for name, call in calls.items():
+            lookups.clear()
+            call()
+            assert len(lookups) == 1, name
 
 
 def kept_sets():

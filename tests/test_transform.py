@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scatterpoly import scattering
+from scatterpoly import scattering, transform
 from scatterpoly.jacobi import gauss_legendre
 from scatterpoly.poly_algebra import BivariatePoly
 from scatterpoly.quadrature import inner_product_function, inner_product_poly
@@ -28,7 +28,6 @@ from scatterpoly.scattering import (
 from scatterpoly.transform import (
     ExpansionTable,
     GridSample,
-    _angle_blocks,
     _half_phases,
     _kept_phases,
     _phases,
@@ -92,6 +91,15 @@ class TestExpansionTable:
         table = ExpansionTable(coefficients={PQIndex(1, 1): 2.0}, truncation=4)
         assert table.coefficient(PQIndex(1, 2)) == 0j
         assert table.coefficient(PQIndex(1, 1)) == 2.0 + 0j
+
+    @pytest.mark.parametrize("truncation", [-1, -3, -10**9])
+    def test_rejects_a_negative_truncation(self, truncation):
+        with pytest.raises(ValueError, match="truncation must be >= 0"):
+            ExpansionTable({}, truncation)
+        with pytest.raises(ValueError, match="truncation must be >= 0"):
+            ExpansionTable({}, np.int64(truncation))
+        # no index fits a truncation below 2, but the empty table is well formed
+        assert ExpansionTable({}, 0).truncation == 0 and ExpansionTable({}, 1).indices == ()
 
     def test_truncation_is_an_integer(self):
         with pytest.raises(TypeError):
@@ -309,19 +317,20 @@ class TestArraySolve:
 
 
 class TestPartialTableSolve:
-    """A table that is not a whole basis is solved from its own indices, with no mode plan."""
+    """A table that is not a whole basis is solved from its own indices, its modes
+    not grouped."""
 
     @pytest.fixture
     def plans(self, monkeypatch):
-        calls = []
-        mode_plan = scattering._mode_plan
+        built = []
+        plan = transform._plan
 
-        def counted(*args):
-            calls.append(args)
-            return mode_plan(*args)
+        def recorded(indices):
+            built.append(plan(indices))
+            return built[-1]
 
-        monkeypatch.setattr(scattering, "_mode_plan", counted)
-        return calls
+        monkeypatch.setattr(transform, "_plan", recorded)
+        return built
 
     @pytest.mark.parametrize("top", [3, 5, 32, 128])
     def test_builds_no_mode_plan(self, top, plans):
@@ -334,13 +343,16 @@ class TestPartialTableSolve:
             solved = solve_table(table)
             expected = per_coefficient_quotients(table).view(np.int64)
             assert np.array_equal(solved.values.view(np.int64), expected)
-        assert plans == []
+        assert len(plans) == 3
+        for plan in plans:
+            assert plan.top == 0 and "modes" not in plan.__dict__
 
     def test_whole_basis_reads_the_cached_plan(self, plans):
         table = expand(lambda r, theta: (1.0 - r * r) * np.cos(theta), 9)
-        planned = len(plans)  # at most the first plan of T = 9, built by expand
+        hits = scattering._basis_plan.cache_info().hits
         solve_table(table)
-        assert len(plans) == planned
+        assert plans == [scattering._basis_plan(9)]
+        assert scattering._basis_plan.cache_info().hits == hits + 2
 
 
 class TestExpand:
@@ -382,9 +394,10 @@ class TestExpand:
             direct = inner_product_function(f, idx, 14, 40) / norm_sq(idx)
             assert abs(table.coefficient(idx) - direct) < 1e-12
 
-    def test_rejects_small_truncation(self):
-        with pytest.raises(ValueError):
-            expand(lambda r, t: 0j, 1)
+    @pytest.mark.parametrize("truncation", [1, 0, -2])
+    def test_rejects_small_truncation(self, truncation):
+        with pytest.raises(ValueError, match="max_sum must be >= 2"):
+            expand(lambda r, t: 0j, truncation)
 
 
 class TestReconstruct:
@@ -609,15 +622,41 @@ class TestPhaseTables:
         r, theta = polar_grid(*grid)
         assert same_bits(reconstruct(table, r, theta).values, direct_synthesis(table, r, theta))
 
-    @pytest.mark.parametrize("size", [1, 63, 64, 65, 5698, 12007, 65536, 262144])
-    @pytest.mark.parametrize("width", [1, 64, 100, 1032, 5698])
-    def test_angle_blocks_cover_the_grid(self, size, width):
-        blocks = _angle_blocks(size, width)
-        starts, stops = zip(*blocks)
-        assert starts[0] == 0 and stops[-1] == size and list(starts[1:]) == list(stops[:-1])
+    @pytest.mark.parametrize(
+        "kind, size",
+        [("modes -22..22", n) for n in (5699, 11396, 12007, 65536)]
+        + [("mode 62", n) for n in (2081, 4161, 20002)]
+        + [("mode 2048", n) for n in (1, 63, 64, 65, 200)],
+    )
+    def test_angle_blocks_cover_the_grid(self, kind, size, monkeypatch):
+        # blocks start on multiples of 64 and hold at most the angles whose half-table
+        # fits the cap (at least 64); a half-table over the cap is never kept
+        table = {
+            "modes -22..22": lambda: modes_table(range(-22, 23)),
+            "mode 62": lambda: ExpansionTable({PQIndex(1, 63): 1.0, PQIndex(2, 1): 1j}, 64),
+            "mode 2048": lambda: ExpansionTable({PQIndex(1, 2049): 1.0}, 2050),
+        }[kind]()
+        top = max(abs(idx.angular_frequency) for idx in table.indices)
+        r, theta = polar_grid(2, size)
+        cap = scattering._KEPT_KERNEL_BYTES // (16 * (top + 1))
+        blocks, half_phases = [], transform._half_phases
+
+        def recorded(angles, top):
+            blocks.append((int(np.flatnonzero(theta == angles[0])[0]), angles.size))
+            return half_phases(angles, top)
+
+        monkeypatch.setattr(transform, "_half_phases", recorded)
+        values = reconstruct(table, r, theta).values
+        if size <= cap:
+            assert len(blocks) <= 1  # one kept table, built at most once
+            return
+        starts = [start for start, _ in blocks]
+        stops = [start + width for start, width in blocks]
+        assert starts[0] == 0 and stops[-1] == size and starts[1:] == stops[:-1]
         assert all(start % 64 == 0 for start in starts)
-        widths = [stop - start for start, stop in blocks]
-        assert max(widths) <= max(64, width // 64 * 64) and min(widths) > 0
+        assert max(width for _, width in blocks) == max(64, cap // 64 * 64)
+        monkeypatch.undo()
+        assert same_bits(values, direct_synthesis(table, r, theta))
 
 
 class TestSolve:
@@ -778,6 +817,33 @@ class TestNonFiniteTables:
             assert str(refused.value).startswith(f"coefficient of {PQIndex(2, 1)} is not finite")
 
 
+class TestFirstNonFinite:
+    """A float route names the first nan or infinite coefficient without walking the
+    table's members."""
+
+    @pytest.mark.parametrize("first", [0, 1, 150, 275])
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(1.0, -math.inf)],
+    )
+    def test_the_first_is_named(self, first, value, monkeypatch):
+        basis = scattering._basis(24)  # 276 members
+        coefficients = {idx: complex(k, -k) for k, idx in enumerate(basis)}
+        for later in basis[first::97]:
+            coefficients[later] = complex(math.inf, math.nan)
+        coefficients[basis[first]] = value
+        table = ExpansionTable(coefficients, 24)
+
+        def refuse(table):
+            raise AssertionError("the table's members were walked")
+
+        monkeypatch.setattr(ExpansionTable, "items", refuse)
+        with pytest.raises(ValueError) as refused:
+            reconstruct(table, *polar_grid(2, 4))
+        expected = f"coefficient of {basis[first]} is not finite: {complex(value)!r}"
+        assert str(refused.value) == expected
+
+
 class TestResidual:
     def test_vanishes_for_in_span_target(self):
         idx = PQIndex(2, 2)
@@ -791,6 +857,34 @@ class TestResidual:
             table = expand(f, trunc)
             res.append(expansion_residual(f, table, radial_order=40, angular_points=128))
         assert res[1] < res[0]
+
+    @pytest.mark.parametrize("truncation", [2, 3, 8, 17])
+    def test_default_rule_of_a_built_table_follows_its_truncation(self, truncation):
+        f = lambda r, t: (1.0 - r * r) * np.exp(r * np.cos(t) - 1j * r * r * np.sin(2 * t))
+        for table in (expand(f, truncation), solve_weighted_poisson(f, truncation)):
+            orders = (2 * truncation + 12, 8 * truncation + 32)
+            assert expansion_residual(f, table) == expansion_residual(f, table, *orders)
+
+    def test_default_rule_follows_the_members(self, monkeypatch):
+        # phi^(1,1) alone in a table of truncation 10**9: the default rule is that of its
+        # largest p + q, 2, not an order 2 * 10**9 + 12 whose nodes would take 16 GB
+        f = lambda r, t: (1.0 - r * r) * (1.0 + r * np.cos(t))
+        sized = {2: ExpansionTable({PQIndex(1, 1): 1.0}, 2)}
+        sized[5] = ExpansionTable({PQIndex(1, 1): 1.0, PQIndex(2, 3): 0.5j}, 5)
+        expected = {degree: expansion_residual(f, table) for degree, table in sized.items()}
+        rule, grid = transform.gauss_legendre, transform.angle_grid
+
+        def bounded(size, build):
+            if size > 10_000:
+                raise AssertionError(f"a rule of {size} points")
+            return build(size)
+
+        monkeypatch.setattr(transform, "gauss_legendre", lambda n: bounded(n, rule))
+        monkeypatch.setattr(transform, "angle_grid", lambda n: bounded(n, grid))
+        for degree, table in sized.items():
+            huge = ExpansionTable(table.coefficients, 10**9)
+            assert expansion_residual(f, huge) == expected[degree]
+        assert expansion_residual(f, ExpansionTable({}, 10**9)) > 0.0
 
     @pytest.mark.parametrize(
         "orders",
