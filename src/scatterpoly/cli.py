@@ -7,9 +7,9 @@ file: a command describes its result once, as a :class:`Table` in a JSON
 payload, and the writer emits the table's rows as CSV or the payload as
 JSON, a block of rows at a time.  Every value is checked before the file
 opens, so no output file ever holds a nan or an infinity, and a refused
-value leaves no file.  Output is deterministic byte for byte for one machine,
-numpy and BLAS thread count (from truncation 96 the BLAS sums behind the grid
-CSVs of expand and solve and expand's residual vary with the thread count):
+value leaves no file.  Output is deterministic byte for byte for one machine
+and numpy build, at any BLAS thread count (the synthesis behind the grid CSVs
+and the residual is an inverse FFT, which runs no BLAS):
 floats are always rendered through the same 17-significant-digit format,
 orderings are fixed, and no timestamps leak in.  Exit codes:
 0 success, 1 verification or internal failure, 2 usage error, which

@@ -13,13 +13,13 @@ of coefficients in that order, and every float route works on the array.
 Both directions take one pass per angular mode n = q - p, whose members
 share one kernel matrix K_n (:func:`scatterpoly.scattering.mode_kernels`):
 projection samples f once, splits modes by FFT and applies K_n^T; synthesis
-stacks the sums (1 - r^2) K_n c_n as columns of A, values = A @ E with
-E[n, j] = e^(i n theta_j).  The indices of a whole basis keep their K_n at the
-projection rule, the residual rule and the rim r = 1 in the one kernel cache that
+forms the columns (1 - r^2) K_n c_n and, on the package's angles
+(:func:`~scatterpoly.quadrature.angle_grid`), adds mode n into bin n mod N and
+takes one inverse FFT along the angles, so no BLAS sum sets its bits.  Other
+angles take the product A @ E, E[n, j] = e^(i n theta_j), in blocks of angles.
+The indices of a whole basis keep their K_n at the projection rule, the residual
+rule and the rim r = 1 in the one kernel cache that
 :func:`~scatterpoly.quadrature.gram` shares; other indices build theirs per call.
-E depends only on the modes and the angles: synthesis keeps the half-table of its
-rows n = 0 .. top per angle grid, takes a row of n < 0 as the exact conjugate of
-row |n|, and builds a table too large to keep one block of angles at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -173,18 +173,20 @@ def expand(
 def _synthesize(
     table: ExpansionTable, r: np.ndarray, theta: np.ndarray, kernels: Iterable
 ) -> np.ndarray:
-    """Partial sum on the tensor grid r x theta, one column of A per mode.
+    """Partial sum on the tensor grid r x theta, one column a_n = (1 - r^2) K_n c_n
+    per mode n.
 
     ``kernels`` are the :func:`mode_kernels` of ``table.indices`` at r.  A nan
     or infinite coefficient raises ValueError naming its index, as
     :func:`synthesize_exact` does.
 
-    The values are A @ E, E[n, j] = e^(i n theta_j), with the bits of E built
-    whole by ``np.exp``.  E's rows come from a half-table of the rows 0 .. top,
-    top the largest |n|, with a row of n < 0 the conjugate of row |n|.  A
-    half-table of at most :data:`_KEPT_KERNEL_BYTES` is kept by
-    :func:`_kept_phases`; a larger one is built per call, one block of angles at
-    a time, each block's product written into the result.
+    On the package's angles, theta equal to ``angle_grid(N)`` bit for bit, the sum
+    over n of a_n e^(2 pi i n j / N) is an inverse DFT: each column is added into
+    bin n mod N, aliasing modes in increasing n, and one unnormalised
+    ``np.fft.ifft`` along the angles gives the values.  pocketfft uses no BLAS, so
+    the bits do not depend on the BLAS thread count.  Other angles take the
+    product A @ E, E[n, j] = e^(i n theta_j), one block of angles at a time: each
+    block's E comes from one ``np.exp`` and its product is written into the result.
     """
     coeffs = _finite_coefficients(table)
     # the (1 - r^2) factor stays explicit, so the sum is 0 at r = 1 exactly
@@ -193,25 +195,31 @@ def _synthesize(
     for n, positions, kernel in kernels:
         ns.append(n)
         columns.append(rim_factor * (kernel @ coeffs[positions]))
-    if not ns:
-        return np.zeros((r.size, theta.size), dtype=complex)
-    radial = np.array(columns, dtype=complex).reshape(len(ns), r.size).T
+    values = np.zeros((r.size, theta.size), dtype=complex)
+    if not ns or not values.size:
+        return values
+    radial = np.array(columns, dtype=complex).T
     modes = np.array(ns)
-    top = max(-ns[0], ns[-1])
-    width = _KEPT_KERNEL_BYTES // (16 * (top + 1))  # angles per kept table or block
-    kept = theta.size <= width
+    if np.array_equal(theta, angle_grid(theta.size)):
+        # the modes of one turn [kN, (k + 1)N), a run of the increasing modes, fill
+        # distinct bins, so adding turn by turn adds the modes that alias in increasing n
+        edges = [0, *(np.flatnonzero(np.diff(modes // theta.size)) + 1).tolist(), modes.size]
+        for start, stop in zip(edges, edges[1:]):
+            values[:, modes[start:stop] % theta.size] += radial[:, start:stop]
+        return np.fft.ifft(values, axis=1, norm="forward")
     # a one-row product is a BLAS gemv, whose sums depend on how BLAS shares the
     # angles among its threads; it is split only when no mode but 0 is nonzero
     # (r = 0 or 1), since the phase 1 of mode 0 makes every such sum exact
-    if kept or r.size == 1 and radial[0, modes != 0].any():
-        step = max(theta.size, 1)
+    if r.size == 1 and radial[0, modes != 0].any():
+        step = theta.size
     else:
+        width = _KEPT_KERNEL_BYTES // (16 * len(ns))  # angles whose E fits the cap
         step = max(_ANGLE_UNIT, width // _ANGLE_UNIT * _ANGLE_UNIT)
-    values = np.empty((r.size, theta.size), dtype=complex)
-    for start in range(0, theta.size, step):
-        block = slice(start, start + step)
-        half = _kept_phases(theta.tobytes(), top) if kept else _half_phases(theta[block], top)
-        np.matmul(radial, _phases(half, modes), out=values[:, block])
+    # a last block of one angle would be a gemv as well: it joins the block before
+    edges = [*range(0, max(theta.size - 1, 1), step), theta.size]
+    for start, stop in zip(edges, edges[1:]):
+        block = slice(start, stop)
+        np.matmul(radial, np.exp(1j * modes[:, None] * theta[block]), out=values[:, block])
     return values
 
 
@@ -219,30 +227,6 @@ def _synthesize(
 #: tile of its kernel in another order than those of a partial tile at an edge, so
 #: a block that starts inside a tile would change the bits of the columns after it.
 _ANGLE_UNIT = 64
-
-
-def _half_phases(theta: np.ndarray, top: int) -> np.ndarray:
-    """The rows n = 0 .. top of e^(i n theta), n as float, by the expression
-    that builds a whole phase matrix, so each row has that matrix's bits."""
-    return np.exp(1j * np.arange(top + 1, dtype=float)[:, None] * theta[None, :])
-
-
-@lru_cache(maxsize=8)
-def _kept_phases(angles: bytes, top: int) -> np.ndarray:
-    """Read-only :func:`_half_phases` of the float64 angles whose bytes are ``angles``."""
-    half = _half_phases(np.frombuffer(angles), top)
-    half.flags.writeable = False
-    return half
-
-
-def _phases(half: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """The rows e^(i n theta) of the increasing modes, gathered from a half-table;
-    the rows of n < 0, a prefix, are conjugated in place: cos is even and sin odd
-    to the last bit, so a conjugate row has the bits of e^(i n theta) itself."""
-    phases = half[np.abs(modes)]
-    negative = phases[: np.count_nonzero(modes < 0)]
-    np.conjugate(negative, out=negative)
-    return phases
 
 
 def _finite_coefficients(table: ExpansionTable) -> np.ndarray:
@@ -272,8 +256,8 @@ def boundary_value_check(table: ExpansionTable, n_theta: int) -> float:
     the last bit for any finite table; a nonzero return flags a synthesis
     bug, not a modeling error.  A whole-basis table reads its kernels at
     the r = [1.0] of :func:`_rim_max` from the kernel cache; any other table builds them.
-    The phases of the n_theta angles come from the half-table that the
-    synthesis keeps for them (:func:`_kept_phases`), so a repeated check builds none.
+    The n_theta angles are the package's angle grid, so the synthesis is one inverse
+    FFT of bins that hold only zeros.
     """
     return _rim_max(
         lambda r, theta: _synthesize(table, r, theta, _rule_kernels(_plan(table.indices), r)),

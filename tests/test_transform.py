@@ -2,10 +2,14 @@
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from bisect import bisect_left
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +32,6 @@ from scatterpoly.scattering import (
 from scatterpoly.transform import (
     ExpansionTable,
     GridSample,
-    _half_phases,
-    _kept_phases,
-    _phases,
     basis_function,
     boundary_value_check,
     expand,
@@ -46,6 +47,9 @@ from scatterpoly.transform import (
 )
 
 from helpers import ring_exact_sum
+
+#: The directory the package was imported from, for the subprocess test.
+SRC = Path(transform.__file__).resolve().parent.parent
 
 
 def table_as_function(table: ExpansionTable):
@@ -489,16 +493,46 @@ class TestBoundary:
         assert rim_amplitude(lambda r, theta: (1.0 - r * r) * np.exp(1j * theta), 64) == 0.0
 
 
-def direct_synthesis(table: ExpansionTable, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The partial sum as A @ E with the whole phase matrix E built by one np.exp,
-    the reference for every phase route (E is formed in place, to halve its memory)."""
+def radial_columns(table: ExpansionTable, r: np.ndarray) -> tuple[list, np.ndarray]:
+    """The modes n of the table, in increasing order, and the columns (1 - r^2) K_n c_n
+    as the rows of one (modes, r.size) array, formed as the synthesis forms them."""
     ns, columns = [], []
     for n, positions, kernel in mode_kernels(table.indices, r):
         ns.append(n)
         columns.append((1.0 - r * r) * (kernel @ table.values[positions]))
-    radial = np.array(columns, dtype=complex).reshape(len(ns), r.size).T
+    return ns, np.array(columns, dtype=complex).reshape(len(ns), r.size)
+
+
+def direct_synthesis(table: ExpansionTable, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The partial sum as A @ E with the whole phase matrix E built by one np.exp,
+    the reference for the angles off the package grid (E is formed in place, to
+    halve its memory)."""
+    ns, columns = radial_columns(table, r)
     phases = 1j * np.array(ns, dtype=float)[:, None] * theta[None, :]
-    return radial @ np.exp(phases, out=phases)
+    return columns.T @ np.exp(phases, out=phases)
+
+
+def reference_synthesis(table: ExpansionTable, r: np.ndarray, n_angles: int):
+    """The partial sum on r x angle_grid(n_angles) summed in long double, each phase
+    e^(2 pi i n j / N) taken at the exactly reduced residue (n j) mod N, and the
+    scale sum_n |a_n(r)| of each radius, a_n the float64 column of mode n."""
+    ns, columns = radial_columns(table, r)
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    j = np.arange(n_angles)
+    reference = np.zeros((r.size, n_angles), dtype=np.clongdouble)
+    for n, column in zip(ns, columns):
+        angle = two_pi * ((n * j) % n_angles).astype(np.longdouble) / n_angles
+        reference += column.astype(np.clongdouble)[:, None] * np.exp(1j * angle)[None, :]
+    return reference, np.abs(columns).sum(axis=0)
+
+
+def assert_near_reference(values: np.ndarray, table: ExpansionTable, r: np.ndarray) -> None:
+    """|value - reference| <= 16 eps sum_n |a_n(r)| at every point, and exactly 0 on a
+    radius where every a_n(r) is 0."""
+    reference, scale = reference_synthesis(table, r, values.shape[1])
+    error = np.abs(values.astype(np.clongdouble) - reference).astype(float)
+    assert (error <= 16 * np.finfo(float).eps * scale[:, None]).all(), error.max()
+    assert not values[scale == 0].any()
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -523,75 +557,66 @@ PHASE_TABLES = {
     "empty": lambda: ExpansionTable({}, 24),
 }
 
-PHASE_GRIDS = {
+#: Grids on the package's angles, angle_grid(N) bit for bit: the inverse FFT route.
+FFT_GRIDS = {
     "polar": lambda: polar_grid(6, 37),
+    "one angle": lambda: polar_grid(3, 1),
+    "no radii": lambda: (np.array([]), polar_grid(1, 16)[1]),
+    "one radius": lambda: (np.array([0.45]), polar_grid(1, 53)[1]),
+    "prime 12007": lambda: polar_grid(2, 12007),
+    "prime 23003": lambda: polar_grid(3, 23003),
+}
+
+
+def off_grid(n_radial: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
+    """A polar grid whose angles are shifted off the package's angle grid."""
+    r, theta = polar_grid(n_radial, n_angular)
+    return r, theta + 0.25
+
+
+#: Grids off the package's angles: the blocked product A @ E.
+PRODUCT_GRIDS = {
+    "shifted polar": lambda: off_grid(6, 37),
     "one angle": lambda: (np.array([0.2, 0.7]), np.array([1.3])),
     "signed unsorted angles": lambda: (
         np.array([0.9, 0.1, 0.5]), np.array([-3.0, 2.5, -0.25, 6.0, -7.5, 0.0, 1e-9])
     ),
     "no angles": lambda: (np.array([0.3, 0.6]), np.array([])),
-    "no radii": lambda: (np.array([]), polar_grid(1, 16)[1]),
-    "one radius": lambda: (np.array([0.45]), polar_grid(1, 53)[1]),
+    "no radii": lambda: (np.array([]), polar_grid(1, 16)[1] + 0.25),
+    "one radius": lambda: (np.array([0.45]), polar_grid(1, 53)[1] + 0.25),
 }
 
 
-class TestPhaseTables:
-    """Synthesis takes its phases from kept half-tables, with the bits of one np.exp."""
+class TestFFTSynthesis:
+    """On the package's angles the synthesis is one inverse FFT of per-mode bins."""
 
-    @pytest.mark.parametrize("top", [0, 1, 5, 62, 126])
-    def test_conjugate_rows_have_the_bits_of_exp(self, top):
-        modes = np.arange(-top, top + 1)
-        for theta in (polar_grid(1, 37)[1], polar_grid(1, 1000)[1],
-                      np.random.default_rng(top).uniform(-20.0, 20.0, 301)):
-            expected = np.exp(1j * modes.astype(float)[:, None] * theta[None, :])
-            assert same_bits(_phases(_half_phases(theta, top), modes), expected)
-
-    @pytest.mark.parametrize("grid", sorted(PHASE_GRIDS))
+    @pytest.mark.parametrize("grid", sorted(FFT_GRIDS))
     @pytest.mark.parametrize("kind", sorted(PHASE_TABLES))
-    def test_reconstruct_has_the_bits_of_one_phase_matrix(self, kind, grid):
+    def test_matches_the_long_double_reference(self, kind, grid):
         table = PHASE_TABLES[kind]()
-        r, theta = PHASE_GRIDS[grid]()
+        r, theta = FFT_GRIDS[grid]()
         values = reconstruct(table, r, theta).values
-        assert same_bits(values, direct_synthesis(table, r, theta))
         assert values.shape == (r.size, theta.size)
+        assert_near_reference(values, table, r)
         if kind == "empty":
             assert not values.any()
 
-    def test_repeated_calls_build_no_table(self):
-        def f(r, theta):
-            return (1.0 - r * r) * r * r * np.cos(2.0 * theta)
+    @pytest.mark.parametrize("n_angles", [64, 65, 200])
+    def test_aliased_modes_share_a_bin(self, n_angles):
+        # mode 2048 lands in bin 2048 mod N, beside mode 0 on 64 angles, 33 on 65 and
+        # 48 on 200; r^2048 is visible only near the rim
+        coefficients = {PQIndex(1, 1): 0.5j, PQIndex(1, 34): -0.25, PQIndex(1, 49): 0.75j}
+        table = ExpansionTable({**coefficients, PQIndex(1, 2049): 1.0}, 2050)
+        r, theta = np.array([0.0, 0.5, 0.99, 0.999]), polar_grid(1, n_angles)[1]
+        assert_near_reference(reconstruct(table, r, theta).values, table, r)
 
-        table = expand(f, 14)
-        r, theta = polar_grid(16, 48)
-
-        def calls():
-            reconstruct(table, r, theta)
-            boundary_value_check(table, 48)
-            expansion_residual(f, table)
-
-        calls()
-        before = _kept_phases.cache_info()
-        calls()
-        after = _kept_phases.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 3, before.misses)
-
-    def test_tables_are_kept_read_only(self):
-        theta = polar_grid(1, 29)[1]
-        reconstruct(modes_table({-3, 4}), np.array([0.5]), theta)
-        half = _kept_phases(theta.tobytes(), 4)
-        assert half.shape == (5, 29) and not half.flags.writeable
-
-    def test_wide_grid_is_synthesized_in_bounded_blocks(self):
-        # T = 64 has modes up to 62: 63 half-table rows of 65536 angles would take
-        # 66 MB, over the 2 MiB a kept table may take, so the angles go in blocks
-        rng = random.Random(64)
-        basis = scattering._basis(64)
-        table = ExpansionTable(
-            {idx: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for idx in basis}, 64
-        )
-        r, theta = polar_grid(2, 65536)
+    @pytest.mark.parametrize("radii", [[0.0, 0.5], [0.3]])
+    def test_wide_grid_stays_small(self, radii):
+        # T = 64 has 127 modes: a whole phase matrix on 65536 angles takes 133 MB, and a
+        # product of one radius, a BLAS gemv, is never split into blocks
+        table = random_table(random.Random(64), 64)
+        r, theta = np.array(radii), polar_grid(1, 65536)[1]
         reconstruct(table, r, polar_grid(1, 8)[1])  # construction checks, outside the trace
-        kept = _kept_phases.cache_info().currsize
         tracemalloc.start()
         try:
             values = reconstruct(table, r, theta).values
@@ -599,63 +624,108 @@ class TestPhaseTables:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
-        assert _kept_phases.cache_info().currsize == kept
+        assert_near_reference(values, table, r)
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # a BLAS product A @ E over the 253 modes of T = 128, -126 .. 126, on 64 x 128
+        # splits its sums over the modes at another place at 2 OpenBLAS threads than at 1
+        script = (
+            "import hashlib, random\n"
+            "from scatterpoly.scattering import PQIndex\n"
+            "from scatterpoly.transform import ExpansionTable, polar_grid, reconstruct\n"
+            "rng = random.Random(253)\n"
+            "members = [PQIndex(1, q) for q in range(1, 128)]"
+            " + [PQIndex(p, 1) for p in range(2, 128)]\n"
+            "table = ExpansionTable({idx: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))"
+            " for idx in members}, 128)\n"
+            "values = reconstruct(table, *polar_grid(64, 128)).values\n"
+            "print(hashlib.sha256(values.tobytes()).hexdigest())\n"
+        )
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            hashes.append(proc.stdout.strip())
+        assert hashes[0] == hashes[1]
+
+    def test_rim_is_exactly_zero(self):
+        for table in (random_table(random.Random(3), 24), modes_table({-5, 7})):
+            for n_theta in (1, 37, 20002):
+                assert boundary_value_check(table, n_theta) == 0.0
+
+
+class TestBlockedProduct:
+    """Off the package's angles the synthesis is A @ E in blocks of angles, with the
+    bits of one product whose E is built whole by one np.exp."""
+
+    @pytest.mark.parametrize("grid", sorted(PRODUCT_GRIDS))
+    @pytest.mark.parametrize("kind", sorted(PHASE_TABLES))
+    def test_reconstruct_has_the_bits_of_one_phase_matrix(self, kind, grid):
+        table = PHASE_TABLES[kind]()
+        r, theta = PRODUCT_GRIDS[grid]()
+        values = reconstruct(table, r, theta).values
         assert same_bits(values, direct_synthesis(table, r, theta))
+        assert values.shape == (r.size, theta.size)
+        if kind == "empty":
+            assert not values.any()
 
     def test_table_over_the_cap_is_not_kept(self):
-        # a one-radius grid over the cap: a sum with more than mode 0 is one product,
-        # the rim's zeros go in blocks; both keep the bits of one phase matrix
-        table = modes_table({-5, 7})
-        # 8 rows of 20002 angles, 2.56 MB; BLAS's threads split a one-row product
+        # a one-radius product over the cap with more than mode 0 is one product (a
+        # gemv), other radii go in blocks; both keep the bits of one phase matrix
+        table = modes_table(range(-7, 8))
+        # 15 rows of 20002 angles, 4.8 MB; BLAS's threads split a one-row product
         # at 10001 angles, inside a tile of its kernel
-        theta = polar_grid(1, 20002)[1]
-        kept = _kept_phases.cache_info().currsize
-        for r in (np.array([0.3]), np.array([0.0, 0.5]), np.array([1.0 - 2.0**-53])):
+        _, theta = off_grid(1, 20002)
+        for radii in ([0.3], [0.0], [0.0, 0.5], [1.0 - 2.0**-53]):
+            r = np.array(radii)
             assert same_bits(reconstruct(table, r, theta).values, direct_synthesis(table, r, theta))
         assert boundary_value_check(table, 20002) == 0.0
-        assert _kept_phases.cache_info().currsize == kept
 
     @pytest.mark.parametrize("grid", [(2, 12007), (3, 17001), (3, 23003)])
     def test_block_edges_keep_the_bits(self, grid):
-        # 23 rows take 5698 angles a block; unaligned block starts would change bits
+        # 45 rows take 2880 angles a block; unaligned block starts would change bits
         table = modes_table(range(-22, 23))
-        r, theta = polar_grid(*grid)
+        r, theta = off_grid(*grid)
         assert same_bits(reconstruct(table, r, theta).values, direct_synthesis(table, r, theta))
 
     @pytest.mark.parametrize(
         "kind, size",
-        [("modes -22..22", n) for n in (5699, 11396, 12007, 65536)]
-        + [("mode 62", n) for n in (2081, 4161, 20002)]
+        [("modes -22..22", n) for n in (2880, 2881, 5761, 12007, 65536)]
+        + [("modes -1 and 62", n) for n in (65536, 65537, 131073)]
         + [("mode 2048", n) for n in (1, 63, 64, 65, 200)],
     )
     def test_angle_blocks_cover_the_grid(self, kind, size, monkeypatch):
-        # blocks start on multiples of 64 and hold at most the angles whose half-table
-        # fits the cap (at least 64); a half-table over the cap is never kept
+        # blocks start on multiples of 64 and hold the most angles whose phase rows
+        # fit the cap, at least 64; a last block of one angle (a gemv, summed in
+        # another order) joins the one before
         table = {
             "modes -22..22": lambda: modes_table(range(-22, 23)),
-            "mode 62": lambda: ExpansionTable({PQIndex(1, 63): 1.0, PQIndex(2, 1): 1j}, 64),
+            "modes -1 and 62": lambda: ExpansionTable({PQIndex(1, 63): 1.0, PQIndex(2, 1): 1j}, 64),
             "mode 2048": lambda: ExpansionTable({PQIndex(1, 2049): 1.0}, 2050),
         }[kind]()
-        top = max(abs(idx.angular_frequency) for idx in table.indices)
-        r, theta = polar_grid(2, size)
-        cap = scattering._KEPT_KERNEL_BYTES // (16 * (top + 1))
-        blocks, half_phases = [], transform._half_phases
+        modes = len({idx.angular_frequency for idx in table.indices})
+        r, theta = off_grid(2, size)
+        step = max(64, scattering._KEPT_KERNEL_BYTES // (16 * modes) // 64 * 64)
+        blocks, matmul = [], np.matmul
 
-        def recorded(angles, top):
-            blocks.append((int(np.flatnonzero(theta == angles[0])[0]), angles.size))
-            return half_phases(angles, top)
+        def recorded(a, b, out=None):
+            if out is not None:  # a block of the result: its first column and width
+                blocks.append(((out.ctypes.data - out.base.ctypes.data) // 16, out.shape[1]))
+            return matmul(a, b, out=out)
 
-        monkeypatch.setattr(transform, "_half_phases", recorded)
+        monkeypatch.setattr(np, "matmul", recorded)
         values = reconstruct(table, r, theta).values
-        if size <= cap:
-            assert len(blocks) <= 1  # one kept table, built at most once
-            return
+        monkeypatch.undo()
         starts = [start for start, _ in blocks]
         stops = [start + width for start, width in blocks]
         assert starts[0] == 0 and stops[-1] == size and starts[1:] == stops[:-1]
         assert all(start % 64 == 0 for start in starts)
-        assert max(width for _, width in blocks) == max(64, cap // 64 * 64)
-        monkeypatch.undo()
+        assert all(width == step for _, width in blocks[:-1])
+        assert blocks[-1][1] <= step + 1 and (blocks[-1][1] > 1 or size == 1)
         assert same_bits(values, direct_synthesis(table, r, theta))
 
 

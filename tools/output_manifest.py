@@ -57,7 +57,7 @@ COMMANDS = [
     ["eval", "8", "24", "--grid", "128x256"],
     ["eval", "8", "24", "--grid", "128x256", "--format", "json"],
     *EXPANSIONS,
-    # phases too large to keep: the synthesis goes one block of angles at a time
+    # a wide grid of few radii: the synthesis is one inverse FFT over 16384 angles
     ["solve", "builtin:phi_5_9", "--trunc", "64", "--grid", "4x16384"],
     ["expand", "builtin:one", "--trunc", "16"],
     ["moments", "2", "3"],
