@@ -432,6 +432,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_sum > MAX_VERIFY_SUM:
         raise CLIError(f"max_sum must be <= {MAX_VERIFY_SUM} (limit on exact work)")
     indices = basis_indices(args.max_sum)
+    import numpy as np
+
     from .quadrature import gram
 
     route_bad = [
@@ -451,9 +453,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     matrix = gram(indices)
     off_diag = matrix.max_off_diagonal()
-    diag_err = max(
-        abs(matrix.entries[i, i] - norm_sq(idx)) / norm_sq(idx) for i, idx in enumerate(indices)
-    )
+    norms = np.array([norm_sq(idx) for idx in indices])
+    diag_err = float(np.max(np.abs(matrix.diagonal() - norms) / norms))
     gram_ok = bool(off_diag < 1e-11 and diag_err < 1e-12)
 
     checks = {

@@ -18,14 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .jacobi import gauss_legendre
 from .poly_algebra import BivariatePoly, ComplexRational
-from .scattering import PQIndex, _plan, _rule_kernels, jacobi_form
+from .scattering import PQIndex, _frozen, _plan, _rule_kernels, jacobi_form
 
 #: f(r, theta) on the disk, on floats or on arrays that broadcast together
 #: (a float-only f costs one call per node, see :func:`sample_polar`).
@@ -41,20 +41,32 @@ _MOMENT_RADIAL_ORDER = 64
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Pairwise inner products of basis members, in index order, as real
-    float64 entries: the angular integral kills imaginary parts."""
+    """Pairwise inner products of basis members, in index order, as real float64
+    entries: the angular integral kills imaginary parts.  ``blocks`` holds one read-only
+    (positions, block) pair per angular mode; entries off the blocks are 0."""
 
     indices: tuple[PQIndex, ...]
-    entries: np.ndarray
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense read-only matrix, built from the blocks at its first read."""
+        entries = np.zeros((len(self.indices), len(self.indices)))
+        for positions, block in self.blocks:
+            entries[np.ix_(positions, positions)] = block
+        return _frozen(entries)
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal entries, in index order."""
+        out = np.empty(len(self.indices))
+        for positions, block in self.blocks:
+            out[positions] = np.diagonal(block)
+        return out
 
     def max_off_diagonal(self) -> float:
-        """Largest |entry| off the diagonal, a block of rows at a time."""
-        step, maxima = (1 << 16) // max(len(self.indices), 1) or 1, [0.0]
-        for start in range(0, len(self.indices), step):
-            rows = np.abs(self.entries[start:start + step])
-            np.fill_diagonal(rows[:, start:], 0.0)
-            maxima.append(np.max(rows))
-        return float(np.max(maxima))
+        """Largest |entry| off the diagonal, read from the blocks; nan if any is nan."""
+        return float(np.max([np.max(np.abs(b), where=~np.eye(len(b), dtype=bool), initial=0.0)
+                             for _, b in self.blocks], initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -99,38 +111,30 @@ def gram(indices: Sequence[PQIndex]) -> GramMatrix:
     the nodes of a Gauss-Legendre rule of order max(p+q) + 2, is exact
     (docs/math_notes.md section 7); its upper triangle is mirrored through a
     cached strict-lower mask per block size, so the result is symmetric by
-    construction.  Distinct modes are orthogonal.  Every block is placed in
-    the matrix by one flat assignment, each mode giving its flat indices.
-    A whole basis keeps its K in the one kernel cache keyed by T and its radii,
-    so a repeated call builds no Jacobi table.
+    construction.  Distinct modes are orthogonal: only their blocks are built,
+    and ``entries`` places them in a dense matrix at its first read.  A whole
+    basis keeps its K in the one kernel cache keyed by T and its radii, so a
+    repeated call builds no Jacobi table.
     """
-    if not indices:
-        raise ValueError("index sequence must be nonempty")
     idx = tuple(indices)
+    if not idx:
+        raise ValueError("index sequence must be nonempty")
     plan = _plan(idx)
     rule = gauss_legendre(plan.degree + 2)
     r = np.sqrt((1.0 + rule.nodes) / 2.0)
     weight = (math.pi / 2.0) * rule.weights * (1.0 - rule.nodes) / 2.0
-    size = len(idx)
-    places, blocks = [], []
+    blocks = []
     for _, positions, kernel in _rule_kernels(plan, r):
         block = (kernel.T * weight) @ kernel
         np.copyto(block, block.T, where=_strict_lower(len(block)))
-        places.append((positions[:, None] * size + positions).ravel())
-        blocks.append(block.ravel())
-    entries = np.zeros(size * size)
-    entries[np.concatenate(places)] = np.concatenate(blocks)
-    entries = entries.reshape(size, size)
-    entries.flags.writeable = False
-    return GramMatrix(indices=idx, entries=entries)
+        blocks.append((positions, _frozen(block)))
+    return GramMatrix(indices=idx, blocks=tuple(blocks))
 
 
 @lru_cache(maxsize=64)
 def _strict_lower(size: int) -> np.ndarray:
     """The read-only mask of the strict lower triangle of a size x size block."""
-    mask = np.tri(size, k=-1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
+    return _frozen(np.tri(size, k=-1, dtype=bool))
 
 
 def angle_grid(n: int) -> np.ndarray:

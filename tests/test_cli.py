@@ -282,6 +282,14 @@ class TestVerify:
             worst = max(abs(form.radial_value(k / 11) - v) for k, v in zip(range(1, 11), exact))
             assert mismatch == worst / scale
 
+    def test_reads_no_dense_gram_matrix(self, monkeypatch):
+        def dense(matrix):
+            raise AssertionError("verify built the dense Gram matrix")
+
+        monkeypatch.setattr(quadrature.GramMatrix, "entries", property(dense))
+        assert main(["verify", "24"]) == 0
+        assert read_json("verify_report.json")["checks"]["gram_diagonality"]["pass"] is True
+
     def test_limit_on_exact_work(self, capsys):
         assert main(["verify", str(MAX_VERIFY_SUM + 1)]) == 2
         assert str(MAX_VERIFY_SUM) in capsys.readouterr().err
@@ -924,10 +932,26 @@ class TestNonFiniteOutputs:
 
         def poisoned(indices):
             matrix = reference(indices)
-            return quadrature.GramMatrix(matrix.indices, poison(matrix.entries))
+            (positions, block), *rest = matrix.blocks
+            return quadrature.GramMatrix(matrix.indices, ((positions, poison(block)), *rest))
 
         monkeypatch.setattr(quadrature, "gram", poisoned)
         self.assert_refused(capsys, ["gram", "3", "--format", fmt], f"gram_3.{fmt}")
+
+    def test_verify_gram_diagonal(self, capsys, monkeypatch):
+        # a nan at any place on a block's diagonal, not only where a max over
+        # the diagonal would meet it first
+        reference = quadrature.gram(basis_indices(6))
+        blocks = reference.blocks
+        for k, (positions, block) in enumerate(blocks):
+            for i in range(len(block)):
+                poisoned = np.array(block)
+                poisoned[i, i] = math.nan
+                matrix = quadrature.GramMatrix(
+                    reference.indices, (*blocks[:k], (positions, poisoned), *blocks[k + 1:])
+                )
+                monkeypatch.setattr(quadrature, "gram", lambda indices, matrix=matrix: matrix)
+                self.assert_refused(capsys, ["verify", "6"], "verify_report.json")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command,work", [("expand", "expand"),

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,33 +95,62 @@ class TestGram:
         with pytest.raises(ValueError):
             gram([])
 
+    def test_rejects_empty_iterator(self):
+        with pytest.raises(ValueError, match="index sequence must be nonempty"):
+            gram(iter([]))
+
     def test_max_off_diagonal_ignores_only_the_diagonal(self):
-        entries = np.array([[9.0, -3.0, 1.0], [-3.0, 7.0, 2.5], [1.0, 2.5, -8.0]])
-        matrix = GramMatrix(indices=tuple(basis_indices(3)), entries=entries)
+        pair = np.array([[9.0, -3.0], [-3.0, -8.0]])
+        blocks = ((np.array([0, 2]), pair), (np.array([1]), np.array([[7.0]])))
+        matrix = GramMatrix(indices=tuple(basis_indices(3)), blocks=blocks)
         assert matrix.max_off_diagonal() == 3.0
-        assert entries[0, 0] == 9.0 and entries[2, 2] == -8.0
-        assert GramMatrix((PQIndex(1, 1),), np.array([[5.0]])).max_off_diagonal() == 0.0
+        assert pair[0, 0] == 9.0 and pair[1, 1] == -8.0
+        assert np.array_equal(matrix.diagonal(), [9.0, 7.0, -8.0])
+        assert np.array_equal(matrix.entries, [[9.0, 0.0, -3.0], [0.0, 7.0, 0.0], [-3.0, 0.0, -8.0]])
+        single = GramMatrix((PQIndex(1, 1),), ((np.array([0]), np.array([[5.0]])),))
+        assert single.max_off_diagonal() == 0.0
         big = gram(basis_indices(12))
         reference = np.max(np.abs(big.entries - np.diag(np.diag(big.entries))))
         assert big.max_off_diagonal() == reference
+        assert np.array_equal(big.diagonal(), np.diag(big.entries))
 
-    def test_max_off_diagonal_over_several_row_blocks(self):
-        # 700 rows take eight blocks; the largest entries sit on the diagonal
-        # and in the last block, where its offset matters
-        entries = np.random.default_rng(7).normal(size=(700, 700))
-        entries[np.diag_indices(700)] = 50.0
-        entries[650, 3] = -9.0
-        matrix = GramMatrix(indices=tuple(basis_indices(38))[:700], entries=entries)
-        assert matrix.max_off_diagonal() == 9.0
-        entries[650, 3] = 0.0
-        reference = np.abs(entries)
-        np.fill_diagonal(reference, 0.0)
-        assert matrix.max_off_diagonal() == float(np.max(reference))
+    def test_max_off_diagonal_propagates_nan(self):
+        # modes -2 .. 2 only, so the last block, n = 2, holds (1, 3), (2, 4) and (3, 5)
+        matrix = gram([idx for idx in basis_indices(8) if abs(idx.q - idx.p) <= 2])
+        *kept, (positions, last) = matrix.blocks
+        assert len(last) == 3
+        for cell, expect_nan in (((0, 1), True), ((1, 0), True), ((1, 1), False)):
+            poisoned = np.array(last)
+            poisoned[cell] = math.nan
+            blocks = (*kept, (positions, poisoned))
+            off = GramMatrix(matrix.indices, blocks).max_off_diagonal()
+            assert math.isnan(off) == expect_nan
+
+    def test_max_off_diagonal_counts_a_repeated_index(self):
+        # the two copies of (2, 3) share a block; their product is off the diagonal
+        matrix = gram([PQIndex(2, 3), PQIndex(1, 1), PQIndex(2, 3)])
+        assert matrix.max_off_diagonal() == matrix.entries[0, 2]
+        assert matrix.max_off_diagonal() == pytest.approx(norm_sq(PQIndex(2, 3)), rel=1e-12)
+
+    def test_blocks_need_no_dense_matrix(self):
+        # the dense T = 96 matrix alone is 164 MiB; its blocks take about 1 MiB
+        indices = basis_indices(96)
+        gram(indices)  # construction checks, outside the trace
+        tracemalloc.start()
+        try:
+            matrix = gram(indices)
+            matrix.max_off_diagonal(), matrix.diagonal()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert "entries" not in vars(matrix)
 
     def test_type_fields(self):
         matrix = gram(basis_indices(3))
         assert isinstance(matrix, GramMatrix)
         assert matrix.indices == tuple(basis_indices(3))
+        assert all(not block.flags.writeable for _, block in matrix.blocks)
 
 
 class TestKeptGramKernels:
@@ -186,8 +216,8 @@ class TestBlockGram:
 
 
 class TestGramPlacement:
-    """One flat assignment places every mode block with the bits of a per-mode
-    ``np.ix_`` scatter."""
+    """``entries`` holds every mode block with the bits of a per-mode ``np.ix_``
+    scatter of kernels built per call."""
 
     @pytest.mark.parametrize("top", range(2, 65))
     def test_whole_bases(self, top):
