@@ -410,7 +410,8 @@ def _sign_mismatches(indices: Sequence[PQIndex]):
     out = np.empty(len(indices))
     for _, positions, kernel in mode_kernels(indices, r):
         profiles = (rodrigues_profile(indices[k]) for k in positions)
-        exact = (profile.numerators_at(_VERIFY_RADII, _VERIFY_RADIUS_DEN) for profile in profiles)
+        values = (profile.numerators_at(_VERIFY_RADII, _VERIFY_RADIUS_DEN) for profile in profiles)
+        exact = [[num / den for num in numerators] for numerators, den in values]
         deviation, scale = factored_deviation(r, kernel, exact)
         out[positions] = deviation / scale
     return out

@@ -39,11 +39,12 @@ DEFAULT_EPS_LADDER = tuple(10.0**-k for k in range(2, 8))
 _MOMENT_RADIAL_ORDER = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Pairwise inner products of basis members, in index order, as real float64
     entries: the angular integral kills imaginary parts.  ``blocks`` holds one read-only
-    (positions, block) pair per angular mode; entries off the blocks are 0."""
+    (positions, block) pair per angular mode; entries off the blocks are 0.  Equality
+    and hashing are by identity, as the blocks are arrays."""
 
     indices: tuple[PQIndex, ...]
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]

@@ -16,21 +16,28 @@ section 8) and become a :class:`BivariatePoly` only at the end.  The
 factored route takes its prefactor (-1)^(q+1) max{p,q}/q from the closed
 form of math_notes section 2.1; the printed rule (-1)^(q + max{p,q}) is
 wrong whenever max{p,q} is even.  Each prefactor is checked once, at
-radii shared by every mode, against the binomial sum evaluated exactly in
-integers, and cached (a form is built per lookup), so the float routes
-never build a Rodrigues polynomial; ``verify`` and the tests compare the
-forms with the Rodrigues route itself, both by :func:`factored_deviation`.
+radii shared by every mode, against the binomial sum's exact values, and
+cached (a form is built per lookup), so the float routes never build a
+Rodrigues polynomial.  The exact values are doubles, each an exact ratio
+rounded once (:func:`check_values`): for p + q <= 128 a row of the table
+``check_values.npy`` that tools/check_values.py writes from the integer
+sums and the tests rebuild bit for bit, memory-mapped by each check,
+so a float process does no integer work up to that size; beyond it, the
+sum evaluated in integers.  ``verify`` and the tests compare the forms
+with the Rodrigues route itself; every comparison is :func:`factored_deviation`.
 
 Import boundary: the exact half of this module needs neither numpy nor
-:mod:`scatterpoly.jacobi`.  The float members (the :class:`RadialForm`
-methods, :func:`jacobi_form`, :func:`mode_kernels`,
-:func:`factored_deviation`) import them when called.
+:mod:`scatterpoly.jacobi`, and importing it opens no file.  The float
+members (the :class:`RadialForm` methods, :func:`jacobi_form`,
+:func:`mode_kernels`, :func:`factored_deviation`, :func:`check_values`)
+import them when called.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
 import random
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
@@ -214,18 +221,54 @@ def radial_sum_values(idx: PQIndex, radii: Sequence[int]) -> tuple[list[int], in
 
 
 def factored_deviation(
-    r: np.ndarray, kernel: np.ndarray, exact: Iterable[tuple[list[int], int]]
+    r: np.ndarray, kernel: np.ndarray, exact: np.ndarray | Sequence[Sequence[float]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per column j: the largest deviation of (1 - r^2) * kernel[:, j] from
-    the exact values at r that ``exact`` gives as integer numerators over one
-    denominator (each rounded to a double), and the scale max(1, max |exact|)."""
+    exact[j], the exact values at r as doubles, and the scale max(1, max |exact[j]|)."""
     import numpy as np
 
     approx = (1.0 - r * r)[:, None] * kernel
-    flat = (num / den for numerators, den in exact for num in numerators)
-    values = np.fromiter(flat, float).reshape(-1, len(r)).T
+    values = np.asarray(exact, dtype=float).reshape(-1, len(r)).T
     scale = np.maximum(1.0, np.max(np.abs(values), axis=0))
     return np.max(np.abs(approx - values), axis=0), scale
+
+
+def check_values(members: Sequence[PQIndex]) -> np.ndarray:
+    """The exact values of the construction check as doubles, one row per member: its
+    radial values at :data:`_CHECK_RADII` / 1024, each num / den of
+    :func:`radial_sum_values` rounded once.  A member with p + q <= 128 reads row
+    (p + q - 1)(p + q - 2)/2 + p - 1 of :data:`_CHECK_VALUES_PATH`: little-endian float64
+    rows in (p + q, p) order, so a basis T is the first T(T - 1)/2 rows.  Each call
+    memory-maps the file anew and reads only its members' pages, which leave the
+    process's memory with the map.  One beyond the table is evaluated exactly, by
+    :func:`_computed_values`.  A file that cannot be read fails the check: it raises
+    :class:`SignValidationError`."""
+    import numpy as np
+
+    try:
+        table = np.load(_CHECK_VALUES_PATH, mmap_mode="r")
+    except (OSError, ValueError) as exc:
+        raise SignValidationError(f"cannot read the exact check values: {exc}") from exc
+    rows = np.array([(i.p + i.q - 1) * (i.p + i.q - 2) // 2 + i.p - 1 for i in members], int)
+    values = table[np.minimum(rows, len(table) - 1)]
+    beyond = rows >= len(table)
+    values[beyond] = _computed_values([i for i, out in zip(members, beyond.tolist()) if out])
+    return values
+
+
+#: The package data file that tools/check_values.py writes: the rows of
+#: :func:`_computed_values` for every member with p + q <= 128.
+_CHECK_VALUES_PATH = os.path.join(os.path.dirname(__file__), "check_values.npy")
+
+
+def _computed_values(members: Sequence[PQIndex]) -> np.ndarray:
+    """The rows of :func:`check_values` computed in integers: :func:`radial_sum_values` at
+    :data:`_CHECK_RADII`, each num / den one correctly rounded division."""
+    import numpy as np
+
+    exact = (radial_sum_values(i, _CHECK_RADII) for i in members)
+    flat = (num / den for numerators, den in exact for num in numerators)
+    return np.fromiter(flat, float).reshape(-1, len(_CHECK_RADII))
 
 
 #: The checked prefactors of each mode n, for nu = 0, 1, ...: jacobi_form's cache.
@@ -241,7 +284,8 @@ def _check_modes(need: dict[int, int]) -> None:
     that checks nothing is a hit, each member checked a miss.  Every new
     member's prefactor (-1)^(q+1) max{p,q}/q (docs/math_notes.md section 2.1)
     is compared in one kernel table at :data:`_CHECK_RADII` with its exact
-    binomial sum (:func:`radial_sum_values`) by :func:`factored_deviation`.  Beyond
+    binomial sum's values, rounded once (:func:`check_values`: the package's table up
+    to p + q = 128, integer evaluation beyond), by :func:`factored_deviation`.  Beyond
     1e-12 of its scale it raises :class:`SignValidationError` naming the member, a bug,
     not a convention issue, with the modes before its mode in need order stored."""
     new = [(n, range(have, end)) for n, end in need.items() if (have := len(_CHECKED[n])) < end]
@@ -257,8 +301,7 @@ def _check_modes(need: dict[int, int]) -> None:
     groups = [(abs(n), nus, list(islice(prefactors, len(nus)))) for n, nus in new]
     r = np.array(_CHECK_RADII) / _RADIUS_DEN
     kernel = np.hstack(list(radial_kernels(groups, r)))
-    exact = (radial_sum_values(i, _CHECK_RADII) for i in members)
-    deviation, scale = factored_deviation(r, kernel, exact)
+    deviation, scale = factored_deviation(r, kernel, check_values(members))
     failed = [i for i, bad in zip(members, (deviation > 1e-12 * scale).tolist()) if bad]
     for (n, nus), (_, _, checked) in zip(new, groups):
         if failed and failed[0].angular_frequency == n:

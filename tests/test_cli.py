@@ -776,14 +776,24 @@ class TestInternalFailures:
         assert name in lines[0]
 
     def test_sign_validation_error(self, capsys, monkeypatch):
-        def negated(idx, radii):
-            numerators, common = reference(idx, radii)
-            return [-n for n in numerators], common
+        def negated(members):
+            return -reference(members)
 
-        reference = scattering.radial_sum_values
-        monkeypatch.setattr(scattering, "radial_sum_values", negated)
+        reference = scattering.check_values
+        monkeypatch.setattr(scattering, "check_values", negated)
         scattering.jacobi_form.cache_clear()
         self.assert_one_line_failure(capsys, ["eval", "3", "2"], "SignValidationError")
+        assert not os.path.exists("phi_3_2_grid.csv")
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_unreadable_check_values(self, damage, capsys, monkeypatch, tmp_path):
+        # a broken install: the table of exact check values is absent or cut short
+        path = tmp_path / "check_values.npy"
+        if damage == "truncated":
+            path.write_bytes(Path(scattering._CHECK_VALUES_PATH).read_bytes()[:4096])
+        monkeypatch.setattr(scattering, "_CHECK_VALUES_PATH", str(path))
+        scattering.jacobi_form.cache_clear()
+        self.assert_one_line_failure(capsys, ["eval", "3", "2"], "check values")
         assert not os.path.exists("phi_3_2_grid.csv")
 
     def test_convergence_error(self, capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """The package, the exact layer and the CLI front end load without numpy.
 
 Each case runs in a fresh interpreter, since this test process has long
-imported numpy, and reports whether numpy was imported by the end.
+imported numpy, and reports whether numpy was imported by the end.  None
+of them opens the table of the construction check's exact values.
 """
 
 import os
@@ -16,6 +17,15 @@ import scatterpoly
 SRC = Path(scatterpoly.__file__).resolve().parent.parent
 
 CLI = "from scatterpoly.cli import main\nassert main({argv!r}) == {code}\n"
+
+#: Runs first in every case: opening the table of exact check values fails the case.
+OPENS_NO_TABLE = (
+    "import builtins\n"
+    "def guarded(file, *args, _open=builtins.open, **kwargs):\n"
+    "    assert not str(file).endswith('check_values.npy'), 'opened the table'\n"
+    "    return _open(file, *args, **kwargs)\n"
+    "builtins.open = guarded\n"
+)
 
 CASES = {
     "table": CLI.format(argv=["table", "3", "4"], code=0),
@@ -46,7 +56,7 @@ CASES = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_no_numpy(case, tmp_path):
-    script = CASES[case] + "import sys\nprint('numpy' in sys.modules)\n"
+    script = OPENS_NO_TABLE + CASES[case] + "import sys\nprint('numpy' in sys.modules)\n"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", script],

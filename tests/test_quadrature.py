@@ -152,6 +152,13 @@ class TestGram:
         assert matrix.indices == tuple(basis_indices(3))
         assert all(not block.flags.writeable for _, block in matrix.blocks)
 
+    def test_identity_semantics(self):
+        # no elementwise comparison of the blocks: equal only to itself, hashable
+        first, second = gram(basis_indices(4)), gram(basis_indices(4))
+        assert first == first and first != second
+        assert isinstance(hash(first), int)
+        assert len({first, second, first}) == 2
+
 
 class TestKeptGramKernels:
     """gram keeps the kernels of a whole basis at its rule, per T."""

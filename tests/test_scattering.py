@@ -9,6 +9,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,12 +288,11 @@ class TestJacobiForm:
                 assert Fraction(num, den) == profile_value(profile, Fraction(k, 1024))
 
     def test_check_rejects_a_wrong_reference(self, monkeypatch):
-        def negated(idx, radii):
-            numerators, common = reference(idx, radii)
-            return [-n for n in numerators], common
+        def negated(members):
+            return -reference(members)
 
-        reference = scattering.radial_sum_values
-        monkeypatch.setattr(scattering, "radial_sum_values", negated)
+        reference = scattering.check_values
+        monkeypatch.setattr(scattering, "check_values", negated)
         jacobi_form.cache_clear()
         for pq in ((1, 1), (2, 2), (4, 3)):
             with pytest.raises(SignValidationError):
@@ -700,15 +700,15 @@ class TestKernelStores:
         table = expand(bump, 16)
         boundary_value_check(table, 16)
         jacobi_form.cache_clear()
-        reference = scattering.radial_sum_values
+        reference = scattering.check_values
 
-        def one_wrong(idx, radii):
-            numerators, den = reference(idx, radii)
-            if idx == PQIndex(5, 8):
-                numerators = [num + den // 10**6 for num in numerators]
-            return numerators, den
+        def one_wrong(members):
+            values = reference(members)
+            if PQIndex(5, 8) in members:
+                values[members.index(PQIndex(5, 8))] += 1e-6
+            return values
 
-        monkeypatch.setattr(scattering, "radial_sum_values", one_wrong)
+        monkeypatch.setattr(scattering, "check_values", one_wrong)
         with pytest.raises(SignValidationError, match=r"p=5, q=8"):
             boundary_value_check(table, 16)
         assert kept_sets() == 0
@@ -748,13 +748,13 @@ class TestModeChecks:
     @pytest.fixture
     def checked(self, monkeypatch):
         calls = []
-        reference = scattering.radial_sum_values
+        reference = scattering.check_values
 
-        def counted(idx, radii):
-            calls.append(idx)
-            return reference(idx, radii)
+        def counted(members):
+            calls.extend(members)
+            return reference(members)
 
-        monkeypatch.setattr(scattering, "radial_sum_values", counted)
+        monkeypatch.setattr(scattering, "check_values", counted)
         jacobi_form.cache_clear()
         yield calls
         jacobi_form.cache_clear()
@@ -825,15 +825,15 @@ class TestModeChecks:
             assert (form.m, form.nu, form.angular_frequency) == (idx.m, idx.nu, idx.q - idx.p)
 
     def test_failure_names_the_member(self, monkeypatch):
-        reference = scattering.radial_sum_values
+        reference = scattering.check_values
 
-        def one_wrong(idx, radii):
-            numerators, den = reference(idx, radii)
-            if idx == PQIndex(5, 8):
-                numerators = [num + den // 10**6 for num in numerators]
-            return numerators, den
+        def one_wrong(members):
+            values = reference(members)
+            if PQIndex(5, 8) in members:
+                values[members.index(PQIndex(5, 8))] += 1e-6
+            return values
 
-        monkeypatch.setattr(scattering, "radial_sum_values", one_wrong)
+        monkeypatch.setattr(scattering, "check_values", one_wrong)
         jacobi_form.cache_clear()
         with pytest.raises(SignValidationError, match=r"p=5, q=8"):
             mode_kernels(basis_indices(16), np.array([0.5]))
@@ -848,19 +848,67 @@ class TestModeChecks:
     )
     def test_threshold_is_1e_12_of_the_scale(self, offset, outcome, monkeypatch):
         # every exact value of (5, 8) moves by offset times the member's scale
-        reference = scattering.radial_sum_values
+        reference = scattering.check_values
 
-        def shifted(idx, radii):
-            numerators, den = reference(idx, radii)
-            if idx == PQIndex(5, 8):
-                scale = max(1.0, max(abs(num / den) for num in numerators))
-                numerators = [num + round(offset * scale * den) for num in numerators]
-            return numerators, den
+        def shifted(members):
+            values = reference(members)
+            if PQIndex(5, 8) in members:
+                row = values[members.index(PQIndex(5, 8))]
+                row += offset * max(1.0, np.max(np.abs(row)))
+            return values
 
-        monkeypatch.setattr(scattering, "radial_sum_values", shifted)
+        monkeypatch.setattr(scattering, "check_values", shifted)
         jacobi_form.cache_clear()
         with outcome:
             jacobi_form(PQIndex(5, 8))
+        jacobi_form.cache_clear()
+
+
+class TestCheckValues:
+    """The exact values of the construction check, read from the package's table."""
+
+    def test_table_is_the_binomial_sums_rounded_once(self):
+        # rebuilt from the integer binomial sums: every entry bit-equal, so a change to
+        # any one of them fails here
+        members = [PQIndex(p, s - p) for s in range(2, cli.MAX_TRUNC + 1) for p in range(1, s)]
+        exact = (radial_sum_values(idx, scattering._CHECK_RADII) for idx in members)
+        expected = np.array([[num / den for num in numerators] for numerators, den in exact])
+        table = np.load(Path(scattering.__file__).with_name("check_values.npy"))
+        assert table.dtype == np.dtype("<f8") and table.shape == (8128, 20)
+        assert np.array_equal(table.view(np.int64), expected.view(np.int64))
+        # check_values reads each member's own row, whatever the order of the members
+        order = random.Random(28).sample(range(len(members)), len(members))
+        values = scattering.check_values([members[k] for k in order])
+        assert np.array_equal(values.view(np.int64), expected[order].view(np.int64))
+
+    def test_members_beyond_the_table_take_the_exact_route(self, monkeypatch):
+        calls = []
+        reference = scattering.radial_sum_values
+
+        def counted(idx, radii):
+            calls.append(idx)
+            return reference(idx, radii)
+
+        monkeypatch.setattr(scattering, "radial_sum_values", counted)
+        jacobi_form.cache_clear()
+        # mode n = 1 up to nu = 63: (1, 2) .. (63, 64) from the table, (64, 65) computed
+        form = jacobi_form(PQIndex(64, 65))
+        assert calls == [PQIndex(64, 65)]
+        assert form.coeff == 1.0  # (-1)^(q + 1) max{p,q} / q
+        assert jacobi_form.cache_info().misses == 64
+
+        def one_wrong(idx, radii):
+            numerators, den = reference(idx, radii)
+            if idx == PQIndex(64, 65):
+                numerators = [num + den // 10**6 for num in numerators]
+            return numerators, den
+
+        monkeypatch.setattr(scattering, "radial_sum_values", one_wrong)
+        jacobi_form.cache_clear()
+        with pytest.raises(SignValidationError, match=r"p=64, q=65"):
+            jacobi_form(PQIndex(64, 65))
+        # a mode with a failing member stores none of its checks
+        assert jacobi_form.cache_info().currsize == 0
         jacobi_form.cache_clear()
 
 
@@ -882,6 +930,17 @@ class TestFloatPathIsExactFree:
         gram(basis_indices(10))
         assert cli.main(["eval", "4", "3", "--grid", "4x4"]) == 0
         assert jacobi_form.cache_info().misses > 0
+
+    def test_no_exact_value_is_computed_up_to_max_trunc(self, monkeypatch):
+        def refuse(self, radii, radius_den):
+            raise AssertionError("float path evaluated an exact profile")
+
+        monkeypatch.setattr(WProfile, "numerators_at", refuse)
+        jacobi_form.cache_clear()
+        table = expand(bump, cli.MAX_TRUNC)
+        assert len(table.coefficients) == len(basis_indices(cli.MAX_TRUNC))
+        assert jacobi_form.cache_info().misses == len(basis_indices(cli.MAX_TRUNC))
+        jacobi_form.cache_clear()
 
 
 class TestReflection:
