@@ -8,7 +8,12 @@ name is resolved from the module that defines it on first access
 (``poly_algebra`` and the construction half of ``scattering``) and the
 command line front end run without numpy; numpy comes in with the float
 layers ``jacobi``, ``quadrature`` and ``transform``, so ``table``,
-``--help``, usage errors and size-limit exits never import it.
+``--help``, usage errors and size-limit exits never import it.  The
+boundary holds the other way too: the float layers import ``poly_algebra``
+and ``fractions`` only inside the exact functions that use them, so the
+float commands (``eval``, ``expand``, ``solve``, ``gram``, ``moments``)
+never load the exact layer, nor do the float routes on members with
+p + q <= 128, whose check values come from the package's table.
 """
 
 from importlib import import_module

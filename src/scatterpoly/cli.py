@@ -18,11 +18,14 @@ includes sizes above the limits on work (:data:`MAX_TABLE_SUM`,
 :data:`MAX_GRID_CELLS`, :data:`MAX_MOMENT_SUM`) and an output path that
 cannot be written.
 
-Import boundary: this module loads only the exact layer.  Each float
-command imports numpy and the float layers it uses when it runs, after
-its arguments have passed every check, so ``table``, ``--help``, usage
-errors, size-limit exits and bad builtin inputs never import numpy (an
-input file is checked as it is read, once numpy is loaded).
+Import boundary: this module loads only :mod:`scatterpoly.scattering`, whose
+construction half needs neither numpy nor :mod:`scatterpoly.poly_algebra` at
+import.  Each float command imports numpy and the float layers it uses when it
+runs, after its arguments have passed every check, so ``table``, ``--help``,
+usage errors, size-limit exits and bad builtin inputs never import numpy (an
+input file is checked as it is read, once numpy is loaded).  The exact
+polynomial layer comes in with the commands that build exact polynomials,
+``table`` and ``verify``, so no float command loads it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, TextIO
 
-from .poly_algebra import NotDivisibleError
 from .scattering import (
     PQIndex,
     SignValidationError,
@@ -435,6 +437,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     indices = basis_indices(args.max_sum)
     import numpy as np
 
+    from .poly_algebra import NotDivisibleError
     from .quadrature import gram
 
     route_bad = [

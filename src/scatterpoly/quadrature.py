@@ -17,15 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from .jacobi import gauss_legendre
-from .poly_algebra import BivariatePoly, ComplexRational
 from .scattering import PQIndex, _frozen, _plan, _rule_kernels, jacobi_form
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .poly_algebra import BivariatePoly
 
 #: f(r, theta) on the disk, on floats or on arrays that broadcast together
 #: (a float-only f costs one call per node, see :func:`sample_polar`).
@@ -200,6 +203,10 @@ def inner_product_poly_exact(
     otherwise the underlying division raises NotDivisibleError.  Uses the
     exact disk integral of z^a zbar^a, which is pi / (a + 1).
     """
+    from fractions import Fraction
+
+    from .poly_algebra import ComplexRational
+
     quotient = (f * g.conjugate()).divide_by_boundary_factor()
     total = ComplexRational()
     for (a, b), c in quotient.terms.items():

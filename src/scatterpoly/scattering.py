@@ -30,7 +30,11 @@ Import boundary: the exact half of this module needs neither numpy nor
 :mod:`scatterpoly.jacobi`, and importing it opens no file.  The float
 members (the :class:`RadialForm` methods, :func:`jacobi_form`,
 :func:`mode_kernels`, :func:`factored_deviation`, :func:`check_values`)
-import them when called.
+import them when called.  Likewise the float half needs no
+:mod:`scatterpoly.poly_algebra`: the functions that build w-profiles
+(:func:`rodrigues_profile`, :func:`_sum_kernel` and :func:`_boundary_power`)
+and :func:`apply_modified_laplacian` import it when called, so a float
+process whose checks all read the table never loads the exact layer.
 """
 
 from __future__ import annotations
@@ -46,10 +50,10 @@ from itertools import islice, zip_longest
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
-from .poly_algebra import BOUNDARY_FACTOR, BivariatePoly, WProfile
-
 if TYPE_CHECKING:
     import numpy as np
+
+    from .poly_algebra import BivariatePoly, WProfile
 
     ArrayLike = Union[float, np.ndarray]
 
@@ -140,6 +144,8 @@ class RadialForm:
 @lru_cache(maxsize=None)
 def _boundary_power(k: int) -> WProfile:
     """(1 - w)^k at frequency 0, by repeated multiplication by (1 - w)."""
+    from .poly_algebra import WProfile
+
     power = WProfile(0, (1,))
     for _ in range(k):
         power = power.times_boundary()
@@ -155,6 +161,8 @@ def rodrigues_profile(idx: PQIndex) -> WProfile:
     only, and no binomial closed form, so it stays independent of
     :func:`radial_sum`.
     """
+    from .poly_algebra import WProfile
+
     p, q = idx.p, idx.q
     core = _boundary_power(p + q - 1)
     for _ in range(p):
@@ -200,6 +208,8 @@ def _sum_kernel(idx: PQIndex) -> WProfile:
     (k!/(k-q)!) over q (p+q-1)!; after the first, N_(k+1) = N_k times the
     exact integer ratio -(p+q-1-k)(k+1) / ((k+1-p)(k+1-q)).
     """
+    from .poly_algebra import WProfile
+
     p, q = idx.p, idx.q
     deg, top = p + q - 1, max(p, q)
     term = (-1) ** (p + top) * math.comb(deg, top) * math.perm(top, p) * math.perm(top, q)
@@ -503,6 +513,8 @@ def sign_resolution(idx: PQIndex) -> dict:
 
 def apply_modified_laplacian(poly: BivariatePoly) -> BivariatePoly:
     """(1 - z*zbar) * d^2/dz dzbar of the input, exactly."""
+    from .poly_algebra import BOUNDARY_FACTOR
+
     return BOUNDARY_FACTOR * poly.wirtinger_dz().wirtinger_dzbar()
 
 

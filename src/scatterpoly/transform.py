@@ -18,8 +18,10 @@ forms the columns (1 - r^2) K_n c_n and, on the package's angles
 takes one inverse FFT along the angles, so no BLAS sum sets its bits.  Other
 angles take the product A @ E, E[n, j] = e^(i n theta_j), in blocks of angles.
 The indices of a whole basis keep their K_n at the projection rule, the residual
-rule and the rim r = 1 in the one kernel cache that
-:func:`~scatterpoly.quadrature.gram` shares; other indices build theirs per call.
+rule, the rim r = 1 and the radii a caller hands :func:`reconstruct` in the one
+kernel cache that :func:`~scatterpoly.quadrature.gram` shares; other indices build
+theirs per call.  The exact routes (:func:`synthesize_exact`, :func:`solve_exact`)
+import the exact layer when called, so the float routes never load it.
 """
 
 from __future__ import annotations
@@ -29,15 +31,13 @@ import operator
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .jacobi import gauss_legendre
-from .poly_algebra import BivariatePoly, ComplexRational
 from .quadrature import DiskFunction, angle_grid, inner_products, sample_polar
 from .scattering import (
     _KEPT_KERNEL_BYTES,
@@ -47,9 +47,11 @@ from .scattering import (
     _plan,
     _rule_kernels,
     jacobi_form,
-    mode_kernels,
     radial_sum_profile,
 )
+
+if TYPE_CHECKING:
+    from .poly_algebra import BivariatePoly
 
 
 class ExpansionTable:
@@ -126,16 +128,27 @@ class GridSample:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.radial_nodes, dtype=float)
-        theta = np.asarray(self.angular_nodes, dtype=float)
+        r, theta = _polar_nodes(self.radial_nodes, self.angular_nodes)
         values = np.asarray(self.values, dtype=complex)
         if values.shape != (r.size, theta.size):
             raise ValueError("values shape must be (radial, angular)")
-        if not np.isfinite(theta).all():
-            raise ValueError("angular nodes must be finite")
-        if not ((r >= 0.0) & (r < 1.0)).all():
-            raise ValueError("radial nodes must lie in [0, 1)")
         self.__dict__.update(radial_nodes=r, angular_nodes=theta, values=values)
+
+
+def _polar_nodes(
+    radial_nodes: Sequence[float], angular_nodes: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes as float64 arrays, or ValueError, one for each rule: both are 1-D,
+    both are finite, and every radius lies in [0, 1)."""
+    r = np.asarray(radial_nodes, dtype=float)
+    theta = np.asarray(angular_nodes, dtype=float)
+    if r.ndim != 1 or theta.ndim != 1:
+        raise ValueError("radial and angular nodes must be 1-D")
+    if not (np.isfinite(r).all() and np.isfinite(theta).all()):
+        raise ValueError("radial and angular nodes must be finite")
+    if not ((r >= 0.0) & (r < 1.0)).all():
+        raise ValueError("radial nodes must lie in [0, 1)")
+    return r, theta
 
 
 def polar_grid(n_radial: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,17 +189,18 @@ def _synthesize(
     """Partial sum on the tensor grid r x theta, one column a_n = (1 - r^2) K_n c_n
     per mode n.
 
-    ``kernels`` are the :func:`mode_kernels` of ``table.indices`` at r.  A nan
-    or infinite coefficient raises ValueError naming its index, as
-    :func:`synthesize_exact` does.
+    ``kernels`` are the :func:`~scatterpoly.scattering.mode_kernels` of
+    ``table.indices`` at r.  A nan or infinite coefficient raises ValueError naming
+    its index, as :func:`synthesize_exact` does.
 
     On the package's angles, theta equal to ``angle_grid(N)`` bit for bit, the sum
     over n of a_n e^(2 pi i n j / N) is an inverse DFT: each column is added into
     bin n mod N, aliasing modes in increasing n, and one unnormalised
-    ``np.fft.ifft`` along the angles gives the values.  pocketfft uses no BLAS, so
-    the bits do not depend on the BLAS thread count.  Other angles take the
-    product A @ E, E[n, j] = e^(i n theta_j), one block of angles at a time: each
-    block's E comes from one ``np.exp`` and its product is written into the result.
+    ``np.fft.ifft`` along the angles writes the values into the bins themselves, so
+    no second grid is allocated.  pocketfft uses no BLAS, so the bits do not depend
+    on the BLAS thread count.  Other angles take the product A @ E, E[n, j] =
+    e^(i n theta_j), one block of angles at a time: each block's E comes from one
+    ``np.exp`` and its product is written into the result.
     """
     coeffs = _finite_coefficients(table)
     # the (1 - r^2) factor stays explicit, so the sum is 0 at r = 1 exactly
@@ -206,7 +220,7 @@ def _synthesize(
         edges = [0, *(np.flatnonzero(np.diff(modes // theta.size)) + 1).tolist(), modes.size]
         for start, stop in zip(edges, edges[1:]):
             values[:, modes[start:stop] % theta.size] += radial[:, start:stop]
-        return np.fft.ifft(values, axis=1, norm="forward")
+        return np.fft.ifft(values, axis=1, norm="forward", out=values)
     # a one-row product is a BLAS gemv, whose sums depend on how BLAS shares the
     # angles among its threads; it is split only when no mode but 0 is nonzero
     # (r = 0 or 1), since the phase 1 of mode 0 makes every such sum exact
@@ -242,10 +256,16 @@ def _finite_coefficients(table: ExpansionTable) -> np.ndarray:
 def reconstruct(
     table: ExpansionTable, radial_nodes: Sequence[float], angular_nodes: Sequence[float]
 ) -> GridSample:
-    """Pointwise partial sum of the expansion on a polar tensor grid."""
-    r = np.asarray(radial_nodes, dtype=float)
-    theta = np.asarray(angular_nodes, dtype=float)
-    values = _synthesize(table, r, theta, mode_kernels(table.indices, r))
+    """Pointwise partial sum of the expansion on a polar tensor grid.
+
+    The nodes are checked first, as :class:`GridSample` checks them, so a rejected
+    call builds no kernel.  A whole-basis table reads its kernels at the caller's
+    radii from the kernel cache, under the key (T, r.tobytes()) that the library's
+    own rules use, so a repeated call on one grid builds no Jacobi table; any other
+    table, and a set above ``_KEPT_KERNEL_BYTES``, builds them per call.
+    """
+    r, theta = _polar_nodes(radial_nodes, angular_nodes)
+    values = _synthesize(table, r, theta, _rule_kernels(_plan(table.indices), r))
     return GridSample(radial_nodes=r, angular_nodes=theta, values=values)
 
 
@@ -341,6 +361,10 @@ def _exact_sum(table: ExpansionTable, divisor: Callable[[PQIndex], int]) -> Biva
     """The sum of c / divisor(idx) * phi^idx over the table, in exact rationals: each
     member's integer profile (:func:`radial_sum_profile`) is added into Fraction real and
     imaginary parts per monomial of its mode, and the sums become one BivariatePoly at the end."""
+    from fractions import Fraction
+
+    from .poly_algebra import BivariatePoly, ComplexRational
+
     _finite_coefficients(table)
     re, im = defaultdict(Fraction), defaultdict(Fraction)
     for idx, c in table.items():

@@ -1,8 +1,10 @@
-"""The package, the exact layer and the CLI front end load without numpy.
+"""The package, the exact layer and the CLI front end load without numpy, and
+the float commands and routes load without the exact layer.
 
 Each case runs in a fresh interpreter, since this test process has long
-imported numpy, and reports whether numpy was imported by the end.  None
-of them opens the table of the construction check's exact values.
+imported numpy and the exact layer, and reports whether the module it must
+not load was imported by the end.  None of the no-numpy cases opens the
+table of the construction check's exact values.
 """
 
 import os
@@ -54,16 +56,50 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_no_numpy(case, tmp_path):
-    script = OPENS_NO_TABLE + CASES[case] + "import sys\nprint('numpy' in sys.modules)\n"
+#: Float commands and library routes: each reads its check values from the table and
+#: builds no exact polynomial, so none of them loads scatterpoly.poly_algebra.
+FLOAT_CASES = {
+    "eval": CLI.format(argv=["eval", "4", "3", "--grid", "8x16", "--out", "g.csv"], code=0),
+    "expand": CLI.format(
+        argv=["expand", "builtin:radial_bump", "--trunc", "14", "--grid", "8x16"], code=0
+    ),
+    "solve_grid_file": CLI.format(argv=["eval", "2", "3", "--out", "g.csv"], code=0)
+    + CLI.format(argv=["solve", "g.csv", "--trunc", "8", "--out", "s.json"], code=0),
+    "gram": CLI.format(argv=["gram", "12"], code=0),
+    "moments": CLI.format(argv=["moments", "0", "0"], code=0),
+    "library": (
+        "import scatterpoly as sp\n"
+        "f = lambda r, theta: 1 - r * r\n"
+        "table = sp.solve_weighted_poisson(f, 16)\n"
+        "sp.reconstruct(table, *sp.polar_grid(8, 16))\n"
+        "assert sp.boundary_value_check(table, 32) == 0.0\n"
+        "sp.expansion_residual(f, table)\n"
+        "sp.gram(sp.basis_indices(16))\n"
+    ),
+}
+
+
+def loads(module: str, script: str, cwd: Path) -> bool:
+    """Whether script, run in a fresh interpreter in cwd, ends with module imported."""
+    script += f"import sys\nprint({module!r} in sys.modules)\n"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", script],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False", f"{case} imported numpy"
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_no_numpy(case, tmp_path):
+    assert not loads("numpy", OPENS_NO_TABLE + CASES[case], tmp_path), f"{case} imported numpy"
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_CASES))
+def test_no_exact_layer(case, tmp_path):
+    loaded = loads("scatterpoly.poly_algebra", FLOAT_CASES[case], tmp_path)
+    assert not loaded, f"{case} imported the exact layer"
 
 
 def test_exports_resolve_to_the_defining_modules(monkeypatch):

@@ -414,10 +414,14 @@ class TestModePlan:
         # a table sorts its keys, so a shuffled one is the basis table again
         regrouped = ExpansionTable({idx: table.coefficient(idx) for idx in shuffled}, 24)
         r, theta = polar_grid(16, 32)
-        hits = scattering._basis_plan.cache_info().hits
         cached = reconstruct(table, r, theta).values
+        hits = scattering._basis_plan.cache_info().hits
+        kept = scattering._kept_kernels.cache_info().hits
         assert np.array_equal(reconstruct(regrouped, r, theta).values, cached)
-        assert scattering._basis_plan.cache_info().hits == hits + 2
+        # the regrouped table finds the basis plan by one lookup and reads the set
+        # that the first call keeps at r
+        assert scattering._basis_plan.cache_info().hits == hits + 1
+        assert scattering._kept_kernels.cache_info().hits == kept + 1
 
     @pytest.mark.parametrize("top", [2, 3, 17, 64])
     def test_plan_fields(self, top):
@@ -492,8 +496,8 @@ def bump(r, theta):
 
 class TestKernelStores:
     """A whole basis keeps its kernels in one cache keyed by (T, the bytes of its
-    radii), at the radii the library picks: those of the projection, Gram and
-    residual rules, and the rim r = 1."""
+    radii), at the radii the library picks, those of the projection, Gram and
+    residual rules and the rim r = 1, and at the radii a caller hands reconstruct."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self):
@@ -502,12 +506,14 @@ class TestKernelStores:
         jacobi_form.cache_clear()
 
     def test_kept_sets_are_fresh_builds_and_read_only(self):
-        expand(bump, 16)
+        grid, theta = polar_grid(24, 48)
+        reconstruct(expand(bump, 16), grid, theta)
         gram(basis_indices(16))
-        assert kept_sets() == 2
-        for order in (24, 18):  # the projection rule T + 8 and the Gram rule T + 2
-            kept = scattering._kept_kernels(16, rule_radii(order).tobytes())
-            fresh = list(mode_kernels(basis_indices(16), rule_radii(order)))
+        assert kept_sets() == 3
+        # the projection rule T + 8, the Gram rule T + 2 and the caller's grid
+        for r in (rule_radii(24), rule_radii(18), grid):
+            kept = scattering._kept_kernels(16, r.tobytes())
+            fresh = list(mode_kernels(basis_indices(16), r))
             assert [n for n, _, _ in kept] == [n for n, _, _ in fresh]
             for (_, positions, kernel), (_, fresh_positions, fresh_kernel) in zip(kept, fresh):
                 assert np.array_equal(positions, fresh_positions)
@@ -516,7 +522,7 @@ class TestKernelStores:
                 assert not kernel.flags.writeable
                 with pytest.raises(ValueError):
                     kernel[0, 0] = 0.0
-        assert kept_sets() == 2
+        assert kept_sets() == 3
 
     def test_one_key_means_one_node_set(self):
         # gram's rule for T and a projection at order T + 2 are the same nodes
@@ -531,8 +537,10 @@ class TestKernelStores:
         assert np.array_equal(products, inner_products(bump, indices[::-1], 12, 48)[::-1])
 
     def test_keys_are_the_radii_of_a_warm_round(self, monkeypatch):
-        # one round of the library_float_warm mix at T = 16, 24 and 32 keeps
-        # four sets per T: projection T + 8, residual 2T + 12, rim and Gram T + 2
+        # one round of the library_float_warm mix at T = 16, 24 and 32 on its 128 x 256
+        # grid keeps five sets per T: projection T + 8, residual 2T + 12, rim, Gram
+        # T + 2 and the caller's grid of reconstruct; 15 of the 16 keys, so a second
+        # round finds every set it needs
         kept, keys = scattering._kept_kernels, []
 
         def recorded(top, radii):
@@ -540,19 +548,28 @@ class TestKernelStores:
             return kept(top, radii)
 
         monkeypatch.setattr(scattering, "_kept_kernels", recorded)
-        r, theta = polar_grid(16, 32)
-        for top in (16, 24, 32):
-            expansion_residual(bump, expand(bump, top))
-            solved = solve_weighted_poisson(bump, top)
-            reconstruct(solved, r, theta)
-            boundary_value_check(solved, 256)
-            gram(basis_indices(top))
-        assert kept.cache_info().currsize == 12
-        rim = np.array([1.0]).tobytes()
+        r, theta = polar_grid(128, 256)
+
+        def warm_round():
+            for top in (16, 24, 32):
+                expansion_residual(bump, expand(bump, top))
+                solved = solve_weighted_poisson(bump, top)
+                reconstruct(solved, r, theta)
+                boundary_value_check(solved, 256)
+                gram(basis_indices(top))
+
+        warm_round()
+        info = kept.cache_info()
+        assert (info.misses, info.maxsize, info.currsize) == (15, 16, 15)
+        warm_round()
+        assert kept.cache_info()[1:] == (15, 16, 15)  # no miss
+        rim, grid = np.array([1.0]).tobytes(), r.tobytes()
         assert set(keys) == {
             (top, radii)
             for top in (16, 24, 32)
-            for radii in (*(rule_radii(o).tobytes() for o in (top + 8, 2 * top + 12, top + 2)), rim)
+            for radii in (
+                *(rule_radii(o).tobytes() for o in (top + 8, 2 * top + 12, top + 2)), rim, grid
+            )
         }
         for top, radii in set(keys):
             assert type(top) is int and type(radii) is bytes
@@ -610,13 +627,13 @@ class TestKernelStores:
         table = expand(bump, 12)
         assert kept_sets() == 1
         r, theta = polar_grid(16, 32)
-        reconstruct(table, r, theta)
         mode_kernels(basis_indices(12), np.array([0.5]))
         shuffled = basis_indices(12)[::-1]
         inner_products(bump, shuffled, 20, 64)
         gram(shuffled)
         partial = ExpansionTable(dict(list(table.items())[:-1]), 12)
         expansion_residual(bump, partial)
+        reconstruct(partial, r, theta)
         assert kept_sets() == 1
         # the projection set of T = 128 (8.8 MB) is above the cap and built per call
         assert 8 * len(basis_indices(128)) * 136 > scattering._KEPT_KERNEL_BYTES
@@ -648,6 +665,53 @@ class TestKernelStores:
         per_call = expansion_residual(bump, table)
         assert np.float64(per_call).view(np.int64) == np.float64(residual).view(np.int64)
         assert scattering._kept_kernels.cache_info().hits == 4
+
+    def test_a_repeated_reconstruct_builds_no_table(self, monkeypatch):
+        tables = []
+        table_pass = jacobi.jacobi_table
+
+        def counted(m, max_degree, x):
+            tables.append(np.asarray(x).tobytes())
+            return table_pass(m, max_degree, x)
+
+        monkeypatch.setattr(jacobi, "jacobi_table", counted)
+        table = expand(bump, 16)
+        r, theta = polar_grid(24, 48)
+        tables.clear()
+        first = reconstruct(table, r, theta).values
+        assert len(tables) == 1 and kept_sets() == 2  # the set at the caller's radii
+        for again in (table, solve_weighted_poisson(bump, 16)):  # the solve's projection too
+            reconstruct(again, r, theta)
+        assert len(tables) == 1
+        assert np.array_equal(reconstruct(table, r, theta).values.view(np.int64), first.view(np.int64))
+        # the solve's projection and the three reconstructs after the first are hits
+        info = scattering._kept_kernels.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (4, 2, 2)
+        # another grid is another key; a partial table builds its kernels at every call
+        reconstruct(table, r[:-1], theta)
+        partial = ExpansionTable(dict(list(table.items())[1:]), 16)
+        tables.clear()
+        for _ in range(2):
+            reconstruct(partial, r, theta)
+        assert len(tables) == 2 and kept_sets() == 3
+
+    def test_a_rejected_reconstruct_keeps_no_set(self):
+        table = expand(bump, 12)
+        r, theta = polar_grid(16, 32)
+        before = scattering._kept_kernels.cache_info()
+        rejected = [
+            ([1.5], theta, r"radial nodes must lie in \[0, 1\)"),
+            ([-0.1], theta, r"radial nodes must lie in \[0, 1\)"),
+            ([np.nan], theta, "radial and angular nodes must be finite"),
+            (r, [0.0, np.inf], "radial and angular nodes must be finite"),
+            (r[:, None], theta, "radial and angular nodes must be 1-D"),
+            (r, theta[None, :], "radial and angular nodes must be 1-D"),
+            (0.5, theta, "radial and angular nodes must be 1-D"),
+        ]
+        for radii, angles, message in rejected:
+            with pytest.raises(ValueError, match=message):
+                reconstruct(table, radii, angles)
+        assert scattering._kept_kernels.cache_info() == before
 
     def test_the_rim_is_kept(self, monkeypatch):
         tables = []

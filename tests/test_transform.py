@@ -601,6 +601,26 @@ class TestFFTSynthesis:
         if kind == "empty":
             assert not values.any()
 
+    @pytest.mark.parametrize("grid", sorted(FFT_GRIDS))
+    @pytest.mark.parametrize("kind", sorted(PHASE_TABLES))
+    def test_the_in_place_transform_has_the_bits_of_a_fresh_one(self, kind, grid, monkeypatch):
+        # the inverse FFT writes into its bins; a transform into a new array gives the
+        # same bits
+        table = PHASE_TABLES[kind]()
+        r, theta = FFT_GRIDS[grid]()
+        ifft, fresh = np.fft.ifft, []
+
+        def recorded(a, *args, out=None, **kwargs):
+            assert out is a
+            fresh.append(ifft(a.copy(), *args, **kwargs))
+            return ifft(a, *args, out=out, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", recorded)
+        values = reconstruct(table, r, theta).values
+        assert len(fresh) == int(kind != "empty" and r.size > 0)
+        for transformed in fresh:
+            assert same_bits(values, transformed)
+
     @pytest.mark.parametrize("n_angles", [64, 65, 200])
     def test_aliased_modes_share_a_bin(self, n_angles):
         # mode 2048 lands in bin 2048 mod N, beside mode 0 on 64 angles, 33 on 65 and
