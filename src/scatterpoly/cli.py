@@ -43,12 +43,12 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence, TextIO
 from .scattering import (
     PQIndex,
     SignValidationError,
+    _plan,
     basis_indices,
     eigencheck,
     factored_deviation,
     jacobi_form,
     mode_kernels,
-    norm_sq,
     radial_sum_profile,
     rodrigues,
     rodrigues_profile,
@@ -457,7 +457,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     matrix = gram(indices)
     off_diag = matrix.max_off_diagonal()
-    norms = np.array([norm_sq(idx) for idx in indices])
+    norms = _plan(tuple(indices)).norms
     diag_err = float(np.max(np.abs(matrix.diagonal() - norms) / norms))
     gram_ok = bool(off_diag < 1e-11 and diag_err < 1e-12)
 

@@ -16,6 +16,7 @@ as eps shrinks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
@@ -142,7 +143,9 @@ def _strict_lower(size: int) -> np.ndarray:
 
 
 def angle_grid(n: int) -> np.ndarray:
-    """The n uniform angles 2 pi j / n, j = 0 .. n - 1: the one angle grid of the package."""
+    """The n uniform angles 2 pi j / n, j = 0 .. n - 1: the one angle grid of the package.
+    n is taken by ``operator.index``, so a float n is a TypeError."""
+    n = operator.index(n)
     return 2.0 * math.pi * np.arange(n) / n
 
 

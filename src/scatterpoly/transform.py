@@ -16,7 +16,8 @@ projection samples f once, splits modes by FFT and applies K_n^T; synthesis
 forms the columns (1 - r^2) K_n c_n and, on the package's angles
 (:func:`~scatterpoly.quadrature.angle_grid`), adds mode n into bin n mod N and
 takes one inverse FFT along the angles, so no BLAS sum sets its bits.  Other
-angles take the product A @ E, E[n, j] = e^(i n theta_j), in blocks of angles.
+angles take the product A @ E, E[n, j] = e^(i n theta_j), in blocks of angles
+whose E fits ``_KEPT_KERNEL_BYTES``, so only the result grows with the grid.
 The indices of a whole basis keep their K_n at the projection rule, the residual
 rule, the rim r = 1 and the radii a caller hands :func:`reconstruct` in the one
 kernel cache that :func:`~scatterpoly.quadrature.gram` shares; other indices build
@@ -152,7 +153,9 @@ def _polar_nodes(
 
 
 def polar_grid(n_radial: int, n_angular: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform open polar grid: r = i/n_radial, theta = 2 pi j/n_angular."""
+    """Uniform open polar grid: r = i/n_radial, theta = 2 pi j/n_angular; the sizes
+    are taken by ``operator.index``, so a float size is a TypeError."""
+    n_radial, n_angular = operator.index(n_radial), operator.index(n_angular)
     if n_radial < 1 or n_angular < 1:
         raise ValueError("grid sizes must be >= 1")
     return np.arange(n_radial, dtype=float) / n_radial, angle_grid(n_angular)
@@ -199,8 +202,12 @@ def _synthesize(
     ``np.fft.ifft`` along the angles writes the values into the bins themselves, so
     no second grid is allocated.  pocketfft uses no BLAS, so the bits do not depend
     on the BLAS thread count.  Other angles take the product A @ E, E[n, j] =
-    e^(i n theta_j), one block of angles at a time: each block's E comes from one
-    ``np.exp`` and its product is written into the result.
+    e^(i n theta_j), on any number of radii, in blocks of the most angles whose E
+    fits ``_KEPT_KERNEL_BYTES`` (at least one): each block's E comes from one
+    ``np.exp`` and its product is written into the result.  Each value is within
+    2 eps sum_n |a_n(r)| (1 + |n theta_j|) of the exact sum at the float64 angle, the
+    phase n theta being rounded before the exponential; its bits may follow the BLAS
+    thread count.
     """
     coeffs = _finite_coefficients(table)
     # the (1 - r^2) factor stays explicit, so the sum is 0 at r = 1 exactly
@@ -221,26 +228,11 @@ def _synthesize(
         for start, stop in zip(edges, edges[1:]):
             values[:, modes[start:stop] % theta.size] += radial[:, start:stop]
         return np.fft.ifft(values, axis=1, norm="forward", out=values)
-    # a one-row product is a BLAS gemv, whose sums depend on how BLAS shares the
-    # angles among its threads; it is split only when no mode but 0 is nonzero
-    # (r = 0 or 1), since the phase 1 of mode 0 makes every such sum exact
-    if r.size == 1 and radial[0, modes != 0].any():
-        step = theta.size
-    else:
-        width = _KEPT_KERNEL_BYTES // (16 * len(ns))  # angles whose E fits the cap
-        step = max(_ANGLE_UNIT, width // _ANGLE_UNIT * _ANGLE_UNIT)
-    # a last block of one angle would be a gemv as well: it joins the block before
-    edges = [*range(0, max(theta.size - 1, 1), step), theta.size]
-    for start, stop in zip(edges, edges[1:]):
-        block = slice(start, stop)
+    step = max(1, _KEPT_KERNEL_BYTES // (16 * len(ns)))  # angles whose E fits the cap
+    for start in range(0, theta.size, step):
+        block = slice(start, start + step)
         np.matmul(radial, np.exp(1j * modes[:, None] * theta[block]), out=values[:, block])
     return values
-
-
-#: Block starts fall on multiples of this many angles: BLAS sums the columns of a
-#: tile of its kernel in another order than those of a partial tile at an edge, so
-#: a block that starts inside a tile would change the bits of the columns after it.
-_ANGLE_UNIT = 64
 
 
 def _finite_coefficients(table: ExpansionTable) -> np.ndarray:
