@@ -11,9 +11,9 @@ rational polynomial route in :mod:`scatterpoly.scattering`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
@@ -30,7 +30,8 @@ class JacobiParams:
     """Parameter triple (alpha, beta, degree) of a Jacobi polynomial.
 
     Only alpha = 1 occurs in this package; beta is the angular power m and
-    the degree is written nu elsewhere.
+    the degree is written nu elsewhere.  All three are integers, stored as
+    int (an integer type such as numpy's is taken by ``operator.index``).
     """
 
     alpha: int
@@ -38,17 +39,14 @@ class JacobiParams:
     degree: int
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "degree"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.alpha != 1:
             raise ValueError("only alpha = 1 is supported")
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-
-
-#: Largest degree-major store, in bytes, of one pass of :func:`jacobi_table`;
-#: the m beyond it run in further passes, so a table is gathered a part at a time.
-_PASS_BYTES = 4 << 20
 
 
 def jacobi_table(ms: Sequence[int], tops: Sequence[int], x: ArrayLike) -> list[np.ndarray]:
@@ -60,89 +58,60 @@ def jacobi_table(ms: Sequence[int], tops: Sequence[int], x: ArrayLike) -> list[n
     and P_1 = (alpha+1) + (alpha+beta+2)(x-1)/2 with alpha = 1, beta = m.
     The recurrence coefficients are integers, formed exactly in float64
     while s = 2 nu + 1 + m stays below 2^17 (docs/math_notes.md section 7),
-    so each m's values are bit for bit those of a pass with that m alone,
-    to any degree.
+    so each m's values are bit for bit those of a recurrence with that m
+    alone, to any degree.  The m and the top degrees are taken by
+    ``operator.index``, so a float is a TypeError.
 
-    The m run in decreasing top degree, in passes of at most
-    :data:`_PASS_BYTES` of rows, each gathered into m-major order when it ends.
+    Each m owns one block of consecutive rows of a single m-major store,
+    the m in decreasing top degree, so the ones still running at degree k
+    are a prefix; each degree's rows of that prefix are written into the
+    store at once, and each result is a view of its block.
     """
     if len(ms) != len(tops):
         raise ValueError(f"{len(ms)} values of m but {len(tops)} top degrees")
-    b, tops = np.asarray(ms, dtype=float), list(tops)
-    if min(tops, default=0) < 0 or min(b, default=0) < 0:
+    ms, tops = [operator.index(m) for m in ms], [operator.index(t) for t in tops]
+    if min(tops, default=0) < 0 or min(ms, default=0) < 0:
         raise ValueError("m and the top degrees must be nonnegative")
     xv = np.asarray(x, dtype=float).reshape(1, -1)
-    shape = np.shape(x)
     order = sorted(range(len(tops)), key=tops.__getitem__, reverse=True)
-    passes, rows_left = [], 0
-    for i in order:
-        if rows_left <= tops[i]:
-            passes.append([])
-            rows_left = _PASS_BYTES // (8 * max(xv.size, 1))
-        passes[-1].append(i)
-        rows_left -= tops[i] + 1
+    a, top = 1, max(tops, default=0)
+    b = np.array([ms[i] for i in order], dtype=float)[:, None]
+    top_s = np.array([tops[i] for i in order], dtype=int)
+    rows = top_s + 1
+    first = np.cumsum(rows) - rows
+    # degree k of the j-th m is row at[k, j]; the first running[k] m reach degree k
+    at = first + np.arange(top + 2)[:, None]
+    running = np.searchsorted(-top_s, -np.arange(top + 2), side="right").tolist()
+    store = np.empty((int(rows.sum()), xv.size))
+    # P_(k-2), P_(k-1) and P_k of the running m, rotated at each degree
+    p2, p0 = np.ones((len(b), xv.size)), np.empty((len(b), xv.size))
+    p1 = (a + 1) + (a + b + 2) * (xv - 1.0) / 2.0
+    store[at[0]] = p2
+    store[at[1, :running[1]]] = p1[:running[1]]
+    # the integer coefficients of every step k >= 2 at once: axes (k, m, 1)
+    k = np.arange(2.0, top + 1)[:, None, None]
+    s = 2 * k + a + b
+    s1, s2 = s - 1, s - 2
+    c_x, c_const = s1 * s * s2, s1 * (a * a - b * b)
+    c_prev = 2 * (k + a - 1) * (k + b - 1) * s
+    c_norm = 2 * k * (k + a + b) * s2
+    # ((c_x x + c_const) P_(k-1) - c_prev P_(k-2)) / c_norm for the running m
+    for deg, cx, cc, cp, cn in zip(range(2, top + 1), c_x, c_const, c_prev, c_norm):
+        c = running[deg]
+        step = p0[:c]
+        np.multiply(cx[:c], xv, out=step)
+        step += cc[:c]
+        step *= p1[:c]
+        p2[:c] *= cp[:c]
+        step -= p2[:c]
+        step /= cn[:c]
+        store[at[deg, :c]] = step
+        p2, p1, p0 = p1, p0, p2
     out: list[np.ndarray] = [None] * len(tops)
-    for members in passes:
-        part = [tops[i] for i in members]
-        rows, starts = _pass(b[members], part, xv)
-        if part[-1] == part[0]:
-            cube = rows.reshape(part[0] + 1, len(part), xv.size)
-            tables = (cube[:, j].T for j in range(len(part)))
-        else:
-            # row starts[k] + j holds degree k of the j-th m of the pass
-            lengths = np.add(part, 1)
-            first = np.cumsum(lengths) - lengths
-            degree = np.arange(starts[-1]) - np.repeat(first, lengths)
-            gathered = rows[np.array(starts)[degree] + np.repeat(np.arange(len(part)), lengths)]
-            tables = (gathered[i:i + t + 1].T for i, t in zip(first.tolist(), part))
-        for i, t, table in zip(members, part, tables):
-            out[i] = table.reshape(shape + (t + 1,))
+    shape = np.shape(x)
+    for i, f, t in zip(order, first.tolist(), top_s.tolist()):
+        out[i] = store[f:f + t + 1].T.reshape(shape + (t + 1,))
     return out
-
-
-def _pass(b: np.ndarray, tops: list[int], xv: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The recurrence for the m in b, whose top degrees do not increase, at the
-    x of the row xv: (rows, starts), degree k of the j-th m in row starts[k] + j.
-
-    The m still running at degree k are the first ones, so each step writes
-    its rows in place as one block."""
-    a, top, size = 1, max(tops, default=0), len(tops)
-    running, alive = [], size
-    for deg in range(top + 1):
-        while alive and tops[alive - 1] < deg:
-            alive -= 1
-        running.append(alive)
-    starts = list(accumulate(running, initial=0))
-    rows = np.empty((starts[-1], xv.size))
-    rows[:size] = 1.0
-    if top >= 1:
-        rows[size:starts[2]] = (a + 1) + (a + b[:running[1], None] + 2) * (xv - 1.0) / 2.0
-    if top >= 2:
-        # the integer coefficients of every step k >= 2 at once: axes (k, m, 1)
-        k = np.arange(2.0, top + 1)[:, None, None]
-        bk = b[:, None]
-        s = 2 * k + a + bk
-        s1, s2 = s - 1, s - 2
-        c_prev = 2 * (k + a - 1) * (k + bk - 1) * s
-        c_norm = 2 * k * (k + a + bk) * s2
-        # ((c_const + c_x x) P_(k-1) - c_prev P_(k-2)) / c_norm: the first sum
-        # for the running m of every step at once, the rest in place per degree
-        steps = rows[starts[2]:]
-        if running[-1] < size:
-            runs = np.arange(size) < np.array(running[2:])[:, None]
-        else:
-            runs, steps = ..., steps.reshape(top - 1, size, -1)
-        np.multiply((s1 * s * s2)[runs], xv, out=steps)
-        steps += (s1 * (a * a - bk * bk))[runs]
-        terms = np.empty((running[2], xv.size))
-        for deg, cp, cn in zip(range(2, top + 1), c_prev, c_norm):
-            c, p1, p2 = running[deg], starts[deg - 1], starts[deg - 2]
-            step, term = rows[starts[deg]:starts[deg + 1]], terms[:c]
-            step *= rows[p1:p1 + c]
-            np.multiply(cp[:c], rows[p2:p2 + c], out=term)
-            step -= term
-            step /= cn[:c]
-    return rows, starts
 
 
 def radial_kernels(
@@ -241,14 +210,18 @@ def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p_curr, p_prev
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gauss_legendre(order: int) -> QuadratureRule:
     """Gauss-Legendre rule with the given number of nodes.
 
     Nodes are Newton-refined from the Chebyshev initial guesses
     cos(pi (k + 3/4) / (order + 1/2)); tolerance 1e-15 on the update,
     100-iteration cap.  Exact for polynomials of degree <= 2*order - 1.
+    The order is taken by ``operator.index``, so a float order is a
+    TypeError; the cache keeps argument types apart, so a float is never
+    answered by a rule cached for an equal integer.
     """
+    order = operator.index(order)
     if order < 1:
         raise ValueError("order must be >= 1")
     k = np.arange(order, dtype=float)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from scipy.special import eval_jacobi
 
 from helpers import scalar_jacobi_table
 
-from scatterpoly import jacobi
 from scatterpoly.jacobi import (
     ConvergenceError,
     JacobiParams,
@@ -80,6 +80,18 @@ class TestJacobiEval:
             JacobiParams(1, -1, 0)
         with pytest.raises(ValueError):
             JacobiParams(1, 0, -1)
+
+    def test_params_are_integers(self):
+        with pytest.raises(TypeError):
+            JacobiParams(1, 2.5, 3)
+        with pytest.raises(TypeError):
+            JacobiParams(1, 2, 3.0)
+        with pytest.raises(TypeError):
+            JacobiParams(1.0, 2, 3)
+        params = JacobiParams(np.int64(1), np.int64(2), np.int32(3))
+        assert (params.alpha, params.beta, params.degree) == (1, 2, 3)
+        assert type(params.beta) is int and type(params.degree) is int
+        assert jacobi_eval(params, 0.25) == jacobi_eval(JacobiParams(1, 2, 3), 0.25)
 
 
 class TestJacobiTable:
@@ -163,6 +175,13 @@ class TestRaggedJacobiTable:
         for m, top, table in zip(ms, tops, jacobi_table(ms, tops, xs)):
             assert np.array_equal(table, scalar_jacobi_table(m, top, xs))
         assert jacobi_table([], [], xs) == []
+        # ragged degrees of T = 24 with a repeated m, bit for bit
+        ms = [5, 0, 17, 2, 9, 1, 22, 3, 3]
+        tops = [(24 - m) // 2 - 1 for m in ms]
+        for m, top, table in zip(ms, tops, jacobi_table(ms, tops, xs)):
+            assert table.shape == (9, top + 1)
+            expected = scalar_jacobi_table(m, top, xs)
+            assert np.array_equal(table.view(np.int64), expected.view(np.int64))
 
     def test_keeps_the_shape_of_x(self):
         xs = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
@@ -172,23 +191,35 @@ class TestRaggedJacobiTable:
         (scalar,) = jacobi_table([3], [4], 0.3)
         assert np.array_equal(scalar, scalar_jacobi_table(3, 4, 0.3))
 
-    @pytest.mark.parametrize("rows", [1, 7, 40])
-    def test_a_table_larger_than_one_pass(self, rows, monkeypatch):
-        # passes of `rows` rows of the 9 xs: every m of T = 24 alone, a few, or most
-        monkeypatch.setattr(jacobi, "_PASS_BYTES", rows * 8 * 9)
-        xs = np.linspace(-1.0, 1.0, 9)
-        ms = [5, 0, 17, 2, 9, 1, 22, 3, 3]
-        tops = [(24 - m) // 2 - 1 for m in ms]
-        for m, top, table in zip(ms, tops, jacobi_table(ms, tops, xs)):
-            assert table.shape == (9, top + 1)
-            expected = scalar_jacobi_table(m, top, xs)
-            assert np.array_equal(table.view(np.int64), expected.view(np.int64))
-
     def test_rejects_negative_degrees(self):
         with pytest.raises(ValueError):
             jacobi_table([1, 2], [3, -1], 0.5)
         with pytest.raises(ValueError):
             jacobi_table([1, 2], [-1, -1], 0.5)
+
+    def test_rejects_non_integer_m_and_degrees(self):
+        xs = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(TypeError):
+            jacobi_table([2.5], [3], xs)
+        with pytest.raises(TypeError):
+            jacobi_table([2], [3.0], xs)
+        (table,) = jacobi_table([np.int64(2)], [np.int32(3)], xs)
+        assert np.array_equal(table, scalar_jacobi_table(2, 3, xs))
+
+    def test_peak_memory_is_near_the_store(self):
+        # the T = 128 degrees at 268 nodes: the table's own rows and little more
+        ms = list(range(127))
+        tops = [(128 - m) // 2 - 1 for m in ms]
+        xs = np.linspace(-1.0, 1.0, 268)
+        store = sum(t + 1 for t in tops) * xs.size * 8
+        tracemalloc.start()
+        try:
+            tables = jacobi_table(ms, tops, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tables) == len(ms)
+        assert peak < 1.25 * store
 
 
 class TestNormGate:
@@ -308,6 +339,14 @@ class TestGaussLegendre:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             gauss_legendre(0)
+
+    def test_order_is_an_integer(self):
+        rule = gauss_legendre(np.int64(5))
+        assert rule.order == 5 and type(rule.order) is int
+        with pytest.raises(TypeError):  # not answered by the rule cached for np.int64(5)
+            gauss_legendre(5.0)
+        with pytest.raises(TypeError):  # not "order must be >= 1"
+            gauss_legendre(0.5)
 
     def test_error_type_exists(self):
         assert issubclass(ConvergenceError, RuntimeError)
